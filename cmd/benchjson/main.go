@@ -1,9 +1,9 @@
 // benchjson converts `go test -bench` output to a committed JSON baseline
 // and gates new runs against it, with no dependency on x/perf:
 //
-//	go test -bench ... | benchjson parse -o results/BENCH_7.json
-//	benchjson emit-text -i results/BENCH_7.json > baseline.txt   # for benchstat
-//	benchjson gate -baseline results/BENCH_7.json -new new.txt \
+//	go test -bench ... | benchjson parse -o results/BENCH_9.json
+//	benchjson emit-text -i results/BENCH_9.json > baseline.txt   # for benchstat
+//	benchjson gate -baseline results/BENCH_9.json -new new.txt \
 //	    -match '^BenchmarkAdd/' -max-regress-pct 15
 //
 // gate compares the median ns/op of every benchmark name present in both

@@ -8,11 +8,11 @@
 // The generator is open-loop: batch send times are scheduled from -rate
 // alone, never from ack arrival, so a slow server accumulates queueing
 // delay instead of silently throttling the offered load. Each connection
-// runs a resilient sessioned client (MRLB v2): up to -inflight unacked
-// batches pipeline on the wire, lost connections are retried with capped
-// exponential backoff, and unacknowledged batches replay on reconnect with
-// exactly-once delivery. -legacy selects the v1 at-most-once protocol, and
-// -breaker degrades a persistently unreachable server to drop-with-count.
+// runs a resilient sessioned client: up to -inflight unacked batches
+// pipeline on the wire, lost connections are retried with capped exponential
+// backoff, and unacknowledged batches replay on reconnect with exactly-once
+// delivery; -breaker degrades a persistently unreachable server to
+// drop-with-count.
 //
 // Usage:
 //
@@ -70,7 +70,6 @@ var (
 
 	httpAddr   = flag.String("http-addr", "", "daemon HTTP address (quantiled -addr, e.g. localhost:8126); when set, /metricsz is fetched at exit and the apply pipeline's applied-vs-acked lag is reported")
 	reportJSON = flag.Bool("report-json", false, "emit the final report as one JSON object on stdout (for CI assertions); the human-readable report moves to stderr")
-	legacy     = flag.Bool("legacy", false, "speak MRLB v1: no sessions, so a batch whose ack is lost is abandoned (at most once) instead of replayed")
 	session    = flag.Int64("session", 0, "base client session id; connection i uses session+i (0 = random per connection)")
 	retryMin   = flag.Duration("retry-min", 100*time.Millisecond, "reconnect/retry backoff floor")
 	retryMax   = flag.Duration("retry-max", 5*time.Second, "reconnect/retry backoff cap")
@@ -86,10 +85,8 @@ type counters struct {
 	valuesAcked  atomic.Int64 // values the acks accepted
 	rejected     atomic.Int64 // batches the server refused as bad requests
 	breakerDrops atomic.Int64 // batches dropped by an open circuit breaker
-	maybeApplied atomic.Int64 // v1 batches abandoned after a lost ack
 	reconnects   atomic.Int64 // connections re-established after the first
 	dropped      atomic.Int64 // latency samples dropped (collector backlog)
-	downgraded   atomic.Bool  // a v1-only server forced the at-most-once protocol
 	lastErr      atomic.Value // string: most recent delivery error message
 	transportErr atomic.Value // string: most recent connection failure
 }
@@ -194,10 +191,10 @@ func fetchApply(addr string) (*applyz, error) {
 // runConn owns one connection through the resilient serve.BinClient: it
 // paces batches open-loop and hands them to Send, which pipelines up to
 // -inflight unacked batches, retries with capped exponential backoff,
-// reconnects, and — in the default sessioned (MRLB v2) mode — replays
-// unacknowledged batches with exactly-once semantics. Ack latencies arrive
-// through the OnAck callback, measured from enqueue so retries and
-// reconnects are *in* the reported distribution, not hidden by it.
+// reconnects, and replays unacknowledged batches with exactly-once
+// semantics. Ack latencies arrive through the OnAck callback, measured from
+// enqueue so retries and reconnects are *in* the reported distribution, not
+// hidden by it.
 // peerAddrs is the parsed -peers list; empty means every connection dials
 // -addr. Spreading connections round-robin over a cluster's node listeners
 // is the multi-node load topology: each connection holds its own session,
@@ -225,7 +222,6 @@ func runConn(ctx context.Context, idx int, interval time.Duration, start time.Ti
 		Metric:           *metric,
 		Backend:          *backend,
 		SessionID:        sid,
-		Legacy:           *legacy,
 		RetryMin:         *retryMin,
 		RetryMax:         *retryMax,
 		AckTimeout:       *ackTimeout,
@@ -283,12 +279,6 @@ func runConn(ctx context.Context, idx int, interval time.Duration, start time.Ti
 		case errors.Is(err, serve.ErrBreakerOpen):
 			// Degraded to drop-with-count: the batch was never enqueued.
 			stats.breakerDrops.Add(1)
-		case errors.Is(err, serve.ErrMaybeApplied):
-			// v1 only: *earlier* batches were abandoned in the ack-lost
-			// ambiguity; the batch just handed over is still queued.
-			stats.batches.Add(1)
-			stats.values.Add(int64(len(vals)))
-			stats.lastErr.Store(err.Error())
 		default:
 			return err
 		}
@@ -299,10 +289,6 @@ func runConn(ctx context.Context, idx int, interval time.Duration, start time.Ti
 	st := client.Stats()
 	stats.reconnects.Add(int64(st.Reconnects))
 	stats.rejected.Add(int64(st.RejectedBatches))
-	stats.maybeApplied.Add(int64(st.MaybeAppliedBatches))
-	if client.Downgraded() {
-		stats.downgraded.Store(true)
-	}
 	return client.Close()
 }
 
@@ -377,8 +363,10 @@ func dialPusher(addr, metric string) (*pusher, error) {
 	p := &pusher{conn: conn, bw: bufio.NewWriterSize(conn, 1<<15), br: bufio.NewReaderSize(conn, 1<<10)}
 	// The latency stream's length is unknown by construction, so tag the
 	// KLL backend; a pre-registered metric with another backend rejects the
-	// dict frame and the push is disabled with that message.
-	p.buf = serve.AppendBinPrologue(p.buf)
+	// dict frame and the push is disabled with that message. The batches
+	// are unsequenced: a latency sample lost with its ack is not worth a
+	// session.
+	p.buf = serve.AppendBinPrologueV2(p.buf)
 	p.buf = serve.AppendDictFrame(p.buf, 1, metric, "kll")
 	if _, err := p.bw.Write(p.buf); err != nil {
 		conn.Close()
@@ -429,7 +417,6 @@ type jsonReport struct {
 	ValuesPerSec  float64 `json:"valuesPerSec"`
 	Rejected      int64   `json:"rejectedBatches"`
 	BreakerDrops  int64   `json:"breakerDroppedBatches"`
-	MaybeApplied  int64   `json:"maybeAppliedBatches"`
 	Reconnects    int64   `json:"reconnects"`
 	LatencySample int64   `json:"latencySamples"`
 	AckP50Ms      float64 `json:"ackP50Ms"`
@@ -465,12 +452,6 @@ func report(est *quantile.KLL, stats *counters, elapsed time.Duration, apply *ap
 	if n := stats.breakerDrops.Load(); n > 0 {
 		fmt.Fprintf(out, "  breaker dropped %d batches while open (degraded, counted, never sent)\n", n)
 	}
-	if n := stats.maybeApplied.Load(); n > 0 {
-		fmt.Fprintf(out, "  MAYBE APPLIED: %d v1 batches abandoned after a lost ack (rerun without -legacy for exactly-once)\n", n)
-	}
-	if stats.downgraded.Load() {
-		fmt.Fprintf(out, "  downgraded to MRLB v1: the server predates sessions; delivery was at most once\n")
-	}
 	if msg, ok := stats.lastErr.Load().(string); ok {
 		fmt.Fprintf(out, "  last delivery error: %s\n", msg)
 	}
@@ -494,7 +475,6 @@ func report(est *quantile.KLL, stats *counters, elapsed time.Duration, apply *ap
 		ValuesPerSec: float64(stats.values.Load()) / sec,
 		Rejected:     stats.rejected.Load(),
 		BreakerDrops: stats.breakerDrops.Load(),
-		MaybeApplied: stats.maybeApplied.Load(),
 		Reconnects:   stats.reconnects.Load(),
 		Apply:        apply,
 	}

@@ -93,9 +93,10 @@ func main() {
 			phi, values[i], exact, math.Abs(values[i]-exact))
 	}
 
-	// The combined state can be sealed into a sequential sketch, e.g. to
-	// serialise it or merge it with summaries from other processes.
-	sealed, err := c.Seal()
+	// The combined state can be sealed into one standalone estimator (a
+	// sequential sketch on the MRL backend), e.g. to serialise it or merge
+	// it with summaries from other processes.
+	sealed, err := c.SealEstimator()
 	if err != nil {
 		log.Fatal(err)
 	}

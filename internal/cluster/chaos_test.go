@@ -285,9 +285,6 @@ func runClusterChaosLife(t *testing.T, seed int64) {
 		if err := client.Close(); err != nil {
 			t.Fatalf("client %d close: %v", i, err)
 		}
-		if st.MaybeAppliedBatches != 0 {
-			t.Fatalf("client %d: sessioned stream reported %d maybe-applied batches", i, st.MaybeAppliedBatches)
-		}
 		if st.RejectedBatches != 0 {
 			t.Fatalf("client %d: server rejected %d batches of valid data", i, st.RejectedBatches)
 		}

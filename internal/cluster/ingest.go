@@ -75,14 +75,14 @@ func (c *Coordinator) ForwardIngestJSON(ctx context.Context, body []byte) (Inges
 }
 
 // ForwardBin decodes a complete MRLB ingest body, splits its batches by
-// owning node, and re-encodes one body per node — same stream version,
-// same session id, same per-batch sequence numbers. The sequence numbers
-// arrive at each node with gaps (a session's batches interleave across
-// owners) but stay strictly increasing per node, which is all the
-// high-water-mark dedup needs, so a retried body remains exactly-once on
-// every node that already applied its share. Any node failure fails the
-// whole request for exactly that reason: the client retries the full
-// body and the nodes that already applied dedup their part.
+// owning node, and re-encodes one body per node — same session id, same
+// per-batch sequence numbers. The sequence numbers arrive at each node with
+// gaps (a session's batches interleave across owners) but stay strictly
+// increasing per node, which is all the high-water-mark dedup needs, so a
+// retried body remains exactly-once on every node that already applied its
+// share. Any node failure fails the whole request for exactly that reason:
+// the client retries the full body and the nodes that already applied
+// dedup their part.
 func (c *Coordinator) ForwardBin(ctx context.Context, body []byte) (IngestResult, error) {
 	st, err := serve.DecodeBinBody(body)
 	if err != nil {
@@ -97,12 +97,7 @@ func (c *Coordinator) ForwardBin(ctx context.Context, body []byte) (IngestResult
 		owner := Owner(c.nodes, b.Metric)
 		g := groups[owner]
 		if g == nil {
-			g = &group{dict: make(map[string]uint32)}
-			if st.Version >= 2 {
-				g.buf = serve.AppendBinPrologueV2(nil)
-			} else {
-				g.buf = serve.AppendBinPrologue(nil)
-			}
+			g = &group{dict: make(map[string]uint32), buf: serve.AppendBinPrologueV2(nil)}
 			if st.Session != 0 {
 				g.buf = serve.AppendSessionFrame(g.buf, st.Session)
 			}

@@ -9,12 +9,14 @@ import (
 )
 
 // The async apply pipeline decouples durability from application on the
-// binary ingest path. Connection goroutines decode a batch, dedup it against
-// its session, append it to the WAL and ack as soon as the fsync covering it
-// completes; the sketch work moves to a small pool of apply workers draining
-// per-metric FIFO queues. Decoded batch buffers are handed off by refcounted
-// pooled ownership — the float64 view parsed out of a frame is applied
-// without ever being copied — and adjacent plain batches on the same metric
+// ingest path every carrier shares. Request and connection goroutines decode
+// a batch, dedup it against its session, append it to the WAL and ack as
+// soon as the fsync covering it completes; the sketch work moves to a small
+// pool of apply workers draining per-metric FIFO queues. Binary batch
+// buffers are handed off by refcounted pooled ownership — the float64 view
+// parsed out of a frame is applied without ever being copied; JSON decode
+// scratch is copied once into the queue — and adjacent plain batches on the
+// same metric
 // are coalesced into one multi-slice AddBatches call, amortising shard locks
 // across the backlog.
 //
@@ -113,11 +115,10 @@ type applyItem struct {
 	vs []float64
 	ws []float64 // nil for plain batches
 	// buf is the pooled buffer vs/ws view into (one reference held); nil
-	// when the slices stand alone (WAL replay, copied scratch decodes).
+	// when the slices stand alone (WAL replay, copied scratch decodes, JSON).
 	buf *pooledBuf
 	// replay marks recovery items: they bypass the window ring and count as
-	// replayed rather than ingested, exactly like the old synchronous
-	// ApplyReplay.
+	// replayed rather than ingested.
 	replay bool
 }
 

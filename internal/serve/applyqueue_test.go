@@ -3,16 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mrl/internal/faultfs"
 )
 
 // applyTestConfig is the shared base: barrier-only draining (no workers) so
@@ -214,6 +218,80 @@ func TestApplyBackpressureBlocks(t *testing.T) {
 	reg.drainAll()
 	if st := reg.ApplyStatus(); st.AppliedBatches != 2 || st.BlockedEnqueues != 1 {
 		t.Fatalf("apply status %+v, want applied=2 blocked=1", st)
+	}
+}
+
+// TestJSONIngestShedsBeforeDurable puts POST /ingest under the shed policy:
+// with the queue full, a JSON batch is refused with 429 ErrApplyBacklog
+// before its WAL append, so it is absent from the next answer and from the
+// state a crash recovers.
+func TestJSONIngestShedsBeforeDurable(t *testing.T) {
+	mem := faultfs.NewMem()
+	cfg := applyTestConfig()
+	cfg.ApplyQueueDepth = 1
+	cfg.ApplyShed = true
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, reg, crashOptions(mem))
+	if w := do(t, s, "POST", "/ingest", ingestBody("m", []float64{1, 2, 3})); w.Code != http.StatusOK {
+		t.Fatalf("first batch: status %d: %s", w.Code, w.Body.String())
+	}
+	w := do(t, s, "POST", "/ingest", ingestBody("m", []float64{4, 5}))
+	if w.Code != http.StatusTooManyRequests || !strings.Contains(w.Body.String(), ErrApplyBacklog.Error()) {
+		t.Fatalf("batch against a full queue: status %d: %s, want 429 %v", w.Code, w.Body.String(), ErrApplyBacklog)
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+	w = do(t, s, "GET", "/quantile?metric=m&phi=0.5", "")
+	var qr quantileResponse
+	if err := json.NewDecoder(w.Body).Decode(&qr); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("query: status %d, err %v", w.Code, err)
+	}
+	if qr.Count != 3 {
+		t.Fatalf("count %d after the shed batch, want 3", qr.Count)
+	}
+
+	s.Kill()
+	mem.Crash()
+	cfg.ApplyWorkers = 0 // recovery replays through the default pool
+	reg2, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustNew(t, reg2, crashOptions(mem))
+	mustCount(t, reg2, "m", 3)
+}
+
+// TestJSONIngestAppliesAsync pins that a POST /ingest 200 means durable and
+// enqueued: with the worker pool disabled the acked JSON batch waits in the
+// apply queue, visible as /metricsz pendingApplyBatches, and the next
+// /quantile drains it into the answer.
+func TestJSONIngestAppliesAsync(t *testing.T) {
+	reg, err := NewRegistry(applyTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, reg, Options{})
+	if w := do(t, s, "POST", "/ingest", ingestBody("m", []float64{4, 1, 3, 2})); w.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", w.Code, w.Body.String())
+	}
+	mz := metricsz(t, s)
+	if len(mz.Metrics) != 1 || mz.Metrics[0].PendingApplyBatches != 1 || mz.Metrics[0].Count != 0 || mz.Apply.PendingBatches != 1 {
+		t.Fatalf("metricsz after ack %+v apply %+v, want one pending batch and nothing applied", mz.Metrics, mz.Apply)
+	}
+	w := do(t, s, "GET", "/quantile?metric=m&phi=0.5", "")
+	var qr quantileResponse
+	if err := json.NewDecoder(w.Body).Decode(&qr); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("query: status %d, err %v", w.Code, err)
+	}
+	if qr.Count != 4 {
+		t.Fatalf("query counted %d values, want the acked 4", qr.Count)
+	}
+	if mz := metricsz(t, s); mz.Metrics[0].PendingApplyBatches != 0 || mz.Metrics[0].Count != 4 {
+		t.Fatalf("metricsz after query %+v, want the batch applied", mz.Metrics)
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -285,55 +284,6 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 	}
 	if res.Count != int64(len(data)+100) {
 		t.Fatalf("second-generation count %d, want %d", res.Count, len(data)+100)
-	}
-}
-
-// TestLegacyCheckpointRestoresAsMRL hand-encodes a version-2 checkpoint (the
-// format before backend tags) and restores it: the metric must come back as
-// an MRL baseline.
-func TestLegacyCheckpointRestoresAsMRL(t *testing.T) {
-	sk, err := quantile.New(quantile.Config{Epsilon: 0.01, N: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sk.AddBatch([]float64{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(ckptMagic)
-	buf.WriteByte(2) // pre-backend-tag version
-	_ = binary.Write(&buf, binary.LittleEndian, uint64(7))
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(1))
-	_ = binary.Write(&buf, binary.LittleEndian, uint16(len("legacy")))
-	buf.WriteString("legacy")
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(1))
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(len(blob)))
-	buf.Write(blob)
-
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := reg.Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 7 {
-		t.Fatalf("walSeq %d", seq)
-	}
-	if b := reg.Backend("legacy"); b != quantile.BackendMRL {
-		t.Fatalf("legacy metric restored as %q", b)
-	}
-	res, err := reg.Quantiles("legacy", []float64{0.5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 5 || res.Values[0] != 3 {
-		t.Fatalf("legacy restore answered %+v", res)
 	}
 }
 

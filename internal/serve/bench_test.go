@@ -99,9 +99,9 @@ func BenchmarkHTTPIngest(b *testing.B) {
 }
 
 // binBody renders the binary-protocol equivalent of ndjsonBody: one dict
-// frame plus objects batch frames of values each.
+// frame plus objects unsequenced batch frames of values each.
 func binBody(objects, values int) []byte {
-	body := AppendBinPrologue(nil)
+	body := AppendBinPrologueV2(nil)
 	body = AppendDictFrame(body, 1, "lat", "")
 	vs := make([]float64, values)
 	for o := 0; o < objects; o++ {
@@ -168,7 +168,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 	const batches = 512
 	for i := 0; i < batches; i++ {
-		if err := seedSrv.ingestBatchPipelined(fmt.Sprintf("m%d", i%8), vs, nil); err != nil {
+		if err := seedSrv.ingest(fmt.Sprintf("m%d", i%8), vs, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

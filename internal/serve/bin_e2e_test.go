@@ -33,7 +33,7 @@ func dialBin(t *testing.T, addr string) *binClient {
 		t.Fatal(err)
 	}
 	c := &binClient{t: t, conn: conn, br: bufio.NewReader(conn)}
-	if _, err := conn.Write(AppendBinPrologue(nil)); err != nil {
+	if _, err := conn.Write(AppendBinPrologueV2(nil)); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -93,7 +93,7 @@ func (c *binClient) readAck() binParsed {
 
 // binStreamBody renders a complete POST /ingest/bin body for one metric.
 func binStreamBody(id uint32, name, backend string, batches [][2][]float64) []byte {
-	body := AppendBinPrologue(nil)
+	body := AppendBinPrologueV2(nil)
 	body = AppendDictFrame(body, id, name, backend)
 	for _, b := range batches {
 		body = AppendBatchFrame(body, id, b[0], b[1])
@@ -269,16 +269,23 @@ func TestBinaryTCPMixedProtocolRace(t *testing.T) {
 	sort.Float64s(sorted)
 	checkWithinBound(t, sorted, phis, res.Values, res.ErrorBound, "mixed-protocol")
 
-	// Protocol-level rejects must not kill the stream: a batch against an
-	// uninterned id errors, the next good batch still lands.
+	// A rejected batch is fatal for its stream: a batch against an
+	// uninterned id draws an error ack and the server closes the stream.
+	// A fresh stream still lands its batches.
 	c := dialBin(t, ln.Addr().String())
 	defer c.close()
 	c.dict(1, metric, "")
 	if _, msg := c.batch(99, []float64{1}, nil); !strings.Contains(msg, "unknown metric id") {
 		t.Fatalf("uninterned id: %q", msg)
 	}
-	if _, msg := c.batch(1, []float64{1, 2}, nil); msg != "" {
-		t.Fatalf("batch after recoverable error: %q", msg)
+	if _, err := c.br.ReadByte(); err != io.EOF {
+		t.Fatalf("stream survived a rejected batch: %v", err)
+	}
+	c2 := dialBin(t, ln.Addr().String())
+	defer c2.close()
+	c2.dict(1, metric, "")
+	if _, msg := c2.batch(1, []float64{1, 2}, nil); msg != "" {
+		t.Fatalf("batch on a fresh stream: %q", msg)
 	}
 
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -308,11 +315,20 @@ func TestBinaryIngestHTTPErrors(t *testing.T) {
 	if resp := post([]byte("not a prologue")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad prologue: %d", resp.StatusCode)
 	}
-	if resp := post(AppendBinPrologue(nil)); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(AppendBinPrologueV2(nil)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no batch frames: %d", resp.StatusCode)
 	}
+	// A version-1 prologue is refused before any frame is applied.
+	v1 := binStreamBody(1, "v1", "", [][2][]float64{{[]float64{1}, nil}})
+	v1[4] = 1
+	if resp := post(v1); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("v1 prologue: %d", resp.StatusCode)
+	}
+	if reg.Len() != 0 {
+		t.Fatalf("v1 body created %d metrics", reg.Len())
+	}
 	// Batch against an id no dict frame interned.
-	body := AppendBinPrologue(nil)
+	body := AppendBinPrologueV2(nil)
 	body = AppendBatchFrame(body, 5, []float64{1}, nil)
 	if resp := post(body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown id: %d", resp.StatusCode)

@@ -13,7 +13,7 @@ import (
 // test meaningful.
 func FuzzBinaryIngestFrame(f *testing.F) {
 	f.Add([]byte{}, uint16(0), byte(0))
-	f.Add(AppendBinPrologue(nil), uint16(3), byte(1))
+	f.Add(AppendBinPrologueV2(nil), uint16(3), byte(1))
 	f.Add(AppendDictFrame(nil, 1, "latency_ms", "kll"), uint16(9), byte(0x80))
 	f.Add(AppendBatchFrame(nil, 1, []float64{1.5, 2.5, -9}, nil), uint16(17), byte(0x40))
 	f.Add(AppendBatchFrame(nil, 2, []float64{9.5, 11}, []float64{12, 3}), uint16(23), byte(2))
@@ -39,7 +39,7 @@ func FuzzBinaryIngestFrame(f *testing.F) {
 			}
 			rest = after
 		}
-		_ = CheckBinPrologue(data)
+		_ = parseBinPrologue(data)
 
 		// --- Shape 2: frames built *from* the fuzz data, then corrupted by
 		// one byte flip. The decoder must accept the clean frame and reject

@@ -65,12 +65,6 @@ func readBinReply(r io.Reader) (binParsed, error) {
 
 // Typed delivery failures of BinClient.
 var (
-	// ErrMaybeApplied reports the v1 ambiguity: the connection died with
-	// batches written but not acknowledged, and on a version-1 stream a
-	// batch carries no identity the server could deduplicate a resend by.
-	// The affected batches are dropped (counted in Stats.MaybeApplied)
-	// rather than blindly retried — a retry might double-count.
-	ErrMaybeApplied = errors.New("serve: batch may have been applied (v1 stream, ack lost)")
 	// ErrBreakerOpen reports a batch dropped before it was enqueued because
 	// the circuit breaker is open; it was never sent and never will be.
 	ErrBreakerOpen = errors.New("serve: binary ingest circuit breaker open, batch dropped")
@@ -94,18 +88,15 @@ type BinClientOptions struct {
 	Backend string
 
 	// SessionID is the client session identity for exactly-once delivery;
-	// 0 picks a random one. Ignored in Legacy mode.
+	// 0 picks a random one.
 	SessionID uint64
-	// Legacy speaks MRLB v1: no session, no sequence numbers, at-most-once
-	// retries. A lost ack surfaces ErrMaybeApplied instead of a resend.
-	Legacy bool
 
 	// RetryMin and RetryMax bound the reconnect/retry backoff (exponential
 	// with 25% jitter, the server's discipline); they default to 100ms/5s.
 	RetryMin time.Duration
 	RetryMax time.Duration
 	// AckTimeout bounds one ack read; it defaults to 10s. A timeout counts
-	// as a connection failure: reconnect and (v2) replay.
+	// as a connection failure: reconnect and replay.
 	AckTimeout time.Duration
 
 	// MaxInflight is how many unacked batches may ride the wire at once
@@ -125,7 +116,7 @@ type BinClientOptions struct {
 	// (retries and reconnects included).
 	OnAck func(values int, latency time.Duration)
 
-	// Logf receives one line per reconnect/downgrade event; nil is silent.
+	// Logf receives one line per rejected batch; nil is silent.
 	Logf func(format string, args ...any)
 
 	// Rand seeds the backoff jitter and the random session id; nil uses a
@@ -143,8 +134,8 @@ type BinClientStats struct {
 	// included.
 	SentBatches uint64
 	// AckedBatches and AckedValues count batches confirmed applied exactly
-	// once (v2) or at most once (v1) — including batches confirmed via a
-	// reconnect's sessionAck high-water mark rather than an explicit ack.
+	// once — including batches confirmed via a reconnect's sessionAck
+	// high-water mark rather than an explicit ack.
 	AckedBatches uint64
 	AckedValues  uint64
 	// DroppedBatches and DroppedValues count batches refused by the open
@@ -155,17 +146,13 @@ type BinClientStats struct {
 	// retrying cannot help, so they are dropped after the error ack.
 	RejectedBatches uint64
 	RejectedValues  uint64
-	// MaybeApplied counts v1 batches abandoned in the ack-lost ambiguity
-	// (see ErrMaybeApplied).
-	MaybeAppliedBatches uint64
-	MaybeAppliedValues  uint64
 	// Reconnects counts connections established after the first.
 	Reconnects uint64
 }
 
 // pendingBatch is one enqueued batch awaiting acknowledgement.
 type pendingBatch struct {
-	seq      uint64 // per-session sequence number (0 in Legacy mode)
+	seq      uint64 // per-session sequence number
 	values   []float64
 	weights  []float64
 	enqueued time.Time
@@ -173,18 +160,16 @@ type pendingBatch struct {
 }
 
 // BinClient is a resilient writer for the binary ingest TCP carrier: it
-// owns one connection, reconnects with capped exponential backoff, and —
-// in its default (v2, sessioned) mode — replays unacknowledged batches
-// after a reconnect with exactly-once semantics: every batch carries a
-// session-scoped sequence number the server deduplicates, and the
-// sessionAck answered on reconnect carries the server's durable high-water
-// mark so already-applied batches are confirmed instead of resent.
+// owns one connection, reconnects with capped exponential backoff, and
+// replays unacknowledged batches after a reconnect with exactly-once
+// semantics: every batch carries a session-scoped sequence number the
+// server deduplicates, and the sessionAck answered on reconnect carries the
+// server's durable high-water mark so already-applied batches are confirmed
+// instead of resent.
 //
-// Delivery contract: a batch Send has enqueued (any return but
-// ErrBreakerOpen or ErrClientClosed) is retried until the server
-// acknowledges it, rejects it as a bad request, or — Legacy mode only —
-// the ack is lost and the batch lands in the ErrMaybeApplied bucket.
-// Flush blocks until the queue is empty.
+// Delivery contract: a batch Send has enqueued (a nil return) is retried
+// until the server acknowledges it or rejects it as a bad request. Flush
+// blocks until the queue is empty.
 //
 // A BinClient is not safe for concurrent use; drive it from one goroutine.
 type BinClient struct {
@@ -205,7 +190,6 @@ type BinClient struct {
 
 	fails        int // consecutive connection-level failures
 	breakerUntil time.Time
-	downgraded   bool // server rejected v2; Legacy forced on
 	closed       bool
 
 	stats BinClientStats
@@ -249,7 +233,7 @@ func NewBinClient(opt BinClientOptions) (*BinClient, error) {
 		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
 	c := &BinClient{opt: opt, rng: rng, sid: opt.SessionID}
-	for !opt.Legacy && c.sid == 0 {
+	for c.sid == 0 {
 		if opt.Rand != nil {
 			c.sid = opt.Rand.Uint64()
 		} else {
@@ -268,17 +252,11 @@ func (c *BinClient) Stats() BinClientStats { return c.stats }
 // Pending reports how many batches are enqueued but not yet acknowledged.
 func (c *BinClient) Pending() int { return len(c.queue) }
 
-// Downgraded reports whether the server rejected MRLB v2 and the client
-// fell back to the at-most-once v1 protocol.
-func (c *BinClient) Downgraded() bool { return c.downgraded }
-
 // Send enqueues one batch for the configured metric and pumps the
 // connection until the in-flight window has room again. A nil return means
 // the batch is enqueued (and usually on the wire) — not yet necessarily
 // acknowledged; use Flush to drain. ErrBreakerOpen means the batch was
-// dropped without being enqueued. A wrapped ErrMaybeApplied (Legacy mode)
-// reports earlier batches abandoned in the ack-lost ambiguity; the batch
-// just enqueued is still queued.
+// dropped without being enqueued.
 func (c *BinClient) Send(values []float64) error {
 	return c.send(values, nil)
 }
@@ -301,28 +279,28 @@ func (c *BinClient) send(values, weights []float64) error {
 		c.stats.DroppedValues += uint64(len(values))
 		return ErrBreakerOpen
 	}
+	c.nextSeq++
 	b := &pendingBatch{
+		seq:      c.nextSeq,
 		values:   append([]float64(nil), values...),
 		enqueued: time.Now(),
 	}
 	if weights != nil {
 		b.weights = append([]float64(nil), weights...)
 	}
-	if !c.legacy() {
-		c.nextSeq++
-		b.seq = c.nextSeq
-	}
 	c.queue = append(c.queue, b)
-	return c.pump(c.opt.MaxInflight, false)
+	c.pump(c.opt.MaxInflight, false)
+	return nil
 }
 
-// Flush blocks until every enqueued batch is acknowledged (or rejected, or
-// — Legacy mode — abandoned as maybe-applied), retrying past the breaker.
+// Flush blocks until every enqueued batch is acknowledged (or rejected),
+// retrying past the breaker.
 func (c *BinClient) Flush() error {
 	if c.closed {
 		return ErrClientClosed
 	}
-	return c.pump(0, true)
+	c.pump(0, true)
+	return nil
 }
 
 // Close flushes the queue and closes the connection. The client is
@@ -331,13 +309,11 @@ func (c *BinClient) Close() error {
 	if c.closed {
 		return ErrClientClosed
 	}
-	err := c.pump(0, true)
+	c.pump(0, true)
 	c.closed = true
 	c.teardown()
-	return err
+	return nil
 }
-
-func (c *BinClient) legacy() bool { return c.opt.Legacy || c.downgraded }
 
 func (c *BinClient) breakerOpen() bool {
 	return c.opt.BreakerThreshold > 0 && time.Now().Before(c.breakerUntil)
@@ -373,28 +349,25 @@ func (c *BinClient) logf(format string, args ...any) {
 
 // pump drives the connection until at most maxLeft batches remain unacked.
 // With force unset it gives up silently (queue intact) once the breaker
-// opens; with force set it retries until done. The returned error is a
-// delivery report (ErrMaybeApplied), never a transport error — transport
-// failures are retried or deferred, not surfaced.
-func (c *BinClient) pump(maxLeft int, force bool) error {
-	var report error
+// opens; with force set it retries until done. Transport failures are
+// retried or deferred, never surfaced: after a dead connection the
+// written-but-unacked batches simply stay queued, and the next
+// connection's sessionAck high-water mark tells which ones were applied.
+func (c *BinClient) pump(maxLeft int, force bool) {
 	for len(c.queue) > maxLeft || c.unwritten() {
 		if !force && c.breakerOpen() {
-			return report
+			return
 		}
 		if err := c.cycle(maxLeft); err != nil {
 			c.teardown()
-			if me := c.abandonInflight(); me != nil && report == nil {
-				report = me
-			}
+			c.inflight = c.inflight[:0]
 			c.noteFail()
 			if !force && c.breakerOpen() {
-				return report
+				return
 			}
 			time.Sleep(c.backoff())
 		}
 	}
-	return report
 }
 
 // unwritten reports whether any queued batch still needs a (re)send.
@@ -430,9 +403,9 @@ func (c *BinClient) cycle(maxLeft int) error {
 	return nil
 }
 
-// ensureConn dials, sends the prologue (+ session and dict frames), and —
-// v2 — prunes the queue by the sessionAck's high-water mark: batches the
-// server already applied are confirmed without a resend.
+// ensureConn dials, sends the prologue, session and dict frames, and prunes
+// the queue by the sessionAck's high-water mark: batches the server already
+// applied are confirmed without a resend.
 func (c *BinClient) ensureConn() error {
 	if c.conn != nil {
 		return nil
@@ -450,13 +423,8 @@ func (c *BinClient) ensureConn() error {
 	if c.stats.SentBatches > 0 || c.stats.Reconnects > 0 || c.fails > 0 {
 		c.stats.Reconnects++
 	}
-	buf := c.connBuf[:0]
-	if c.legacy() {
-		buf = AppendBinPrologue(buf)
-	} else {
-		buf = AppendBinPrologueV2(buf)
-		buf = AppendSessionFrame(buf, c.sid)
-	}
+	buf := AppendBinPrologueV2(c.connBuf[:0])
+	buf = AppendSessionFrame(buf, c.sid)
 	buf = AppendDictFrame(buf, 1, c.opt.Metric, c.opt.Backend)
 	c.connBuf = buf
 	_ = conn.SetWriteDeadline(time.Now().Add(c.opt.AckTimeout))
@@ -464,33 +432,17 @@ func (c *BinClient) ensureConn() error {
 		_ = conn.Close()
 		return err
 	}
-	if !c.legacy() {
-		_ = conn.SetReadDeadline(time.Now().Add(c.opt.AckTimeout))
-		fr, err := readBinReply(conn)
-		if err != nil {
-			_ = conn.Close()
-			return err
-		}
-		switch {
-		case fr.typ == binFrameSessionAck && fr.status == ackOK:
-			c.pruneAcked(fr.hw)
-		case fr.typ == binFrameAck && fr.status != ackOK:
-			// A v1-only server answers the v2 prologue (or the session
-			// frame) with a fatal error ack. Downgrade permanently: batches
-			// lose their sequence identity, so delivery is at-most-once
-			// from here on and lost acks surface ErrMaybeApplied.
-			_ = conn.Close()
-			c.downgraded = true
-			for _, b := range c.queue {
-				b.seq = 0
-			}
-			c.logf("binclient: server rejected MRLB v2 (%s); downgrading to v1 at-most-once", fr.msg)
-			return fmt.Errorf("serve: downgraded to MRLB v1: %s", fr.msg)
-		default:
-			_ = conn.Close()
-			return fmt.Errorf("%w: expected sessionAck, got frame type %d status %d", ErrBadFrame, fr.typ, fr.status)
-		}
+	_ = conn.SetReadDeadline(time.Now().Add(c.opt.AckTimeout))
+	fr, err := readBinReply(conn)
+	if err != nil {
+		_ = conn.Close()
+		return err
 	}
+	if fr.typ != binFrameSessionAck || fr.status != ackOK {
+		_ = conn.Close()
+		return fmt.Errorf("%w: expected sessionAck, got frame type %d status %d", ErrBadFrame, fr.typ, fr.status)
+	}
+	c.pruneAcked(fr.hw)
 	c.conn = conn
 	return nil
 }
@@ -501,7 +453,7 @@ func (c *BinClient) ensureConn() error {
 func (c *BinClient) pruneAcked(hw uint64) {
 	kept := c.queue[:0]
 	for _, b := range c.queue {
-		if b.seq != 0 && b.seq <= hw {
+		if b.seq <= hw {
 			c.ackBatch(b)
 			continue
 		}
@@ -533,11 +485,7 @@ func (c *BinClient) writeUnwritten() error {
 		if b.written {
 			continue
 		}
-		if b.seq != 0 {
-			buf = AppendBatchSeqFrame(buf, 1, b.seq, b.values, b.weights)
-		} else {
-			buf = AppendBatchFrame(buf, 1, b.values, b.weights)
-		}
+		buf = AppendBatchSeqFrame(buf, 1, b.seq, b.values, b.weights)
 		sent = append(sent, b)
 	}
 	c.connBuf = buf
@@ -584,11 +532,8 @@ func (c *BinClient) readOneAck() error {
 		c.logf("binclient: batch rejected: %s", fr.msg)
 	default:
 		// Degraded/unavailable/internal: not applied, retry after backoff.
-		// On a v2 stream the server closes after an error ack; fail the
-		// cycle so pump tears down and replays. On v1 the stream survives,
-		// but resetting it keeps the ack pipeline trivially in order, and
-		// the error ack proves the batch was not applied, so the resend is
-		// duplicate-free on both versions.
+		// The server closes the stream after an error ack; fail the cycle
+		// so pump tears down and replays.
 		b.written = false
 		return fmt.Errorf("serve: batch refused (status %d): %s", fr.status, fr.msg)
 	}
@@ -606,38 +551,11 @@ func (c *BinClient) removeQueued(b *pendingBatch) {
 	}
 }
 
-// teardown closes the connection and resets per-connection state. Queued
-// batches keep their written flags until abandonInflight or pruneAcked
-// resolves them.
+// teardown closes the connection. Queued batches keep their written flags
+// until the next connection's pruneAcked resolves them.
 func (c *BinClient) teardown() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 		c.conn = nil
 	}
-}
-
-// abandonInflight resolves written-but-unacked batches after a dead
-// connection. With a session (v2) they simply stay queued — the next
-// connection's sessionAck high-water mark tells which ones were applied.
-// In Legacy mode they are ambiguous: the batch may or may not have been
-// applied and a resend has no identity to dedup by, so they are dropped
-// and reported via ErrMaybeApplied.
-func (c *BinClient) abandonInflight() error {
-	if len(c.inflight) == 0 {
-		return nil
-	}
-	if !c.legacy() {
-		c.inflight = c.inflight[:0]
-		return nil
-	}
-	n := len(c.inflight)
-	var values uint64
-	for _, b := range c.inflight {
-		c.removeQueued(b)
-		values += uint64(len(b.values))
-	}
-	c.inflight = c.inflight[:0]
-	c.stats.MaybeAppliedBatches += uint64(n)
-	c.stats.MaybeAppliedValues += values
-	return fmt.Errorf("%w: %d batches (%d values) abandoned", ErrMaybeApplied, n, values)
 }

@@ -18,9 +18,7 @@ type BinBatch struct {
 
 // BinStream is a fully decoded MRLB ingest body.
 type BinStream struct {
-	// Version is the stream version the prologue declared (1 or 2).
-	Version byte
-	// Session is the client session id a v2 body declared, 0 if none.
+	// Session is the client session id the body declared, 0 if none.
 	Session uint64
 	// Batches holds every batch frame in body order.
 	Batches []BinBatch
@@ -30,15 +28,14 @@ type BinStream struct {
 // the cluster coordinator's forwarding step, which must re-route each batch
 // to its owning node while preserving the session identity and sequence
 // numbers the exactly-once contract rides on. It enforces the same stream
-// rules the ingest paths do: dict before batch, sessions and sequence
-// numbers only on v2, at most one session per body, no ack frames from a
+// rules the ingest path does: dict before batch, sequence numbers only after
+// a session frame, at most one session per body, no ack frames from a
 // writer. Values and weights are copied out of the body.
 func DecodeBinBody(body []byte) (*BinStream, error) {
-	version, err := parseBinPrologue(body)
-	if err != nil {
+	if err := parseBinPrologue(body); err != nil {
 		return nil, err
 	}
-	out := &BinStream{Version: version}
+	out := &BinStream{}
 	type dictEntry struct{ name, backend string }
 	dict := make(map[uint32]dictEntry)
 	rest := body[binPrologueLen:]
@@ -62,13 +59,8 @@ func DecodeBinBody(body []byte) (*BinStream, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: id %d (send a dict frame first)", ErrUnknownMetricID, fr.id)
 			}
-			if fr.sequenced {
-				if version < binVersion2 {
-					return nil, fmt.Errorf("%w: sequenced batch on a version-%d stream", ErrBadFrame, version)
-				}
-				if out.Session == 0 {
-					return nil, fmt.Errorf("%w: sequenced batch before a session frame", ErrBadFrame)
-				}
+			if fr.sequenced && out.Session == 0 {
+				return nil, fmt.Errorf("%w: sequenced batch before a session frame", ErrBadFrame)
 			}
 			b := BinBatch{
 				Metric:  ent.name,
@@ -81,9 +73,6 @@ func DecodeBinBody(body []byte) (*BinStream, error) {
 			}
 			out.Batches = append(out.Batches, b)
 		case binFrameSession:
-			if version < binVersion2 {
-				return nil, fmt.Errorf("%w: session frame on a version-%d stream", ErrBadFrame, version)
-			}
 			if out.Session != 0 && out.Session != fr.sid {
 				return nil, fmt.Errorf("%w: stream already bound to session %d", ErrBadFrame, out.Session)
 			}

@@ -9,8 +9,6 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"mrl/quantile"
 )
 
 // maxBinDictEntries caps one stream's interning table; a writer needing
@@ -18,21 +16,19 @@ import (
 const maxBinDictEntries = 1 << 16
 
 // binSession is the per-stream state of one binary ingest carrier: the
-// stream's negotiated version, the id → metric-name interning table, the
-// client session binding (v2 streams that declared one), and the decode
-// scratch for hosts where the zero-copy value view is unavailable.
+// id → metric-name interning table, the client session binding (streams
+// that declared one), and the decode scratch for hosts where the zero-copy
+// value view is unavailable.
 type binSession struct {
-	s       *Server
-	version byte
-	sid     uint64        // declared client session id, 0 until bound
-	ent     *sessionEntry // pinned dedup entry for sid, nil until bound
-	dict    map[uint32]string
-	vals    []float64
-	wts     []float64
+	s    *Server
+	ent  *sessionEntry // pinned dedup entry of the declared session, nil until bound
+	dict map[uint32]string
+	vals []float64
+	wts  []float64
 }
 
-func newBinSession(s *Server, version byte) *binSession {
-	return &binSession{s: s, version: version, dict: make(map[uint32]string)}
+func newBinSession(s *Server) *binSession {
+	return &binSession{s: s, dict: make(map[uint32]string)}
 }
 
 // close releases the stream's pin on its session entry so the dedup table
@@ -50,26 +46,21 @@ func (bs *binSession) close() {
 // idempotent re-read — a retried POST /ingest/bin body starts with its
 // session frame every time — but a stream serves one session only.
 func (bs *binSession) declareSession(sid uint64) (uint64, error) {
-	if bs.version < binVersion2 {
-		return 0, fmt.Errorf("%w: session frame on a version-%d stream", ErrBadFrame, bs.version)
-	}
 	if bs.ent != nil {
-		if sid != bs.sid {
-			return 0, fmt.Errorf("%w: stream already bound to session %d", ErrBadFrame, bs.sid)
+		if sid != bs.ent.sid {
+			return 0, fmt.Errorf("%w: stream already bound to session %d", ErrBadFrame, bs.ent.sid)
 		}
 		return bs.ent.hw.Load(), nil
 	}
-	bs.sid = sid
 	bs.ent = bs.s.reg.sessions.acquire(sid)
 	return bs.ent.hw.Load(), nil
 }
 
 // handleFrame applies one parsed frame: dict frames extend the interning
 // table (creating the metric when a backend tag is present), batch frames
-// go through decode → dedup → pipelined WAL append → apply-queue handoff
-// (buf is the pooled buffer the frame's values view into; the queue retains
-// it until the batch is applied). Returns the number of values accepted
-// (batch frames only).
+// go through Server.ingest (buf is the pooled buffer the frame's values
+// view into; the apply queue retains it until the batch is applied).
+// Returns the number of values accepted (batch frames only).
 func (bs *binSession) handleFrame(fr binParsed, buf *pooledBuf) (int, error) {
 	switch fr.typ {
 	case binFrameDict:
@@ -91,18 +82,18 @@ func (bs *binSession) handleFrame(fr binParsed, buf *pooledBuf) (int, error) {
 		if !ok {
 			return 0, fmt.Errorf("%w: id %d (send a dict frame first)", ErrUnknownMetricID, fr.id)
 		}
-		var err error
+		var id *batchID
 		if fr.sequenced {
 			if bs.ent == nil {
 				return 0, fmt.Errorf("%w: sequenced batch before a session frame", ErrBadFrame)
 			}
-			err = bs.s.ingestBatchSeq(name, fr.values, fr.weights, buf, bs.ent, bs.sid, fr.seq)
-		} else if fr.weighted {
-			err = bs.s.ingestWeightedBatchPipelined(name, fr.values, fr.weights, buf)
-		} else {
-			err = bs.s.ingestBatchPipelined(name, fr.values, buf)
+			id = &batchID{ent: bs.ent, seq: fr.seq}
 		}
-		if err != nil {
+		ws := fr.weights
+		if fr.weighted && ws == nil {
+			ws = []float64{} // an empty weighted batch still needs the weighted backend
+		}
+		if err := bs.s.ingest(name, fr.values, ws, buf, id); err != nil {
 			return 0, err
 		}
 		return len(fr.values), nil
@@ -114,181 +105,12 @@ func (bs *binSession) handleFrame(fr binParsed, buf *pooledBuf) (int, error) {
 	}
 }
 
-// ingestBatchSeq is the exactly-once ingest path for sequenced batches
-// (weighted when ws is non-nil): dedup check, WAL append, apply, high-water
-// advance — all serialised under the session entry's mutex, so two
-// connections replaying the same session cannot interleave and double-apply.
-// The checkpoint gate is taken inside the entry mutex; the checkpointer
-// takes the gate and then only the table mutex (never an entry mutex, hw is
-// atomic), so the lock order is acyclic.
-//
-// A seq at or below the high-water mark is a retry of a batch the server
-// already counted: it is acknowledged as accepted without being applied,
-// before the degraded check — a duplicate costs no durability, so shedding
-// it would only stall the client's replay for nothing.
-//
-// Any error out of here is FATAL for the stream (error ack, then close; see
-// serveBinaryConn). The single high-water mark means "every seq at or below
-// is applied" only while application is a contiguous prefix of the client's
-// sequence numbers; if a failed batch drew a soft error with the stream left
-// open, the next batch would advance the mark past the hole and the client's
-// retry of the failed batch would be swallowed as a duplicate.
-func (s *Server) ingestBatchSeq(name string, vs, ws []float64, buf *pooledBuf, ent *sessionEntry, sid, seq uint64) error {
-	weighted := ws != nil
-	var err error
-	if weighted {
-		err = s.reg.ValidateIngestWeighted(name, vs, ws)
-	} else {
-		err = s.reg.ValidateIngest(name, vs)
-	}
-	if err != nil {
-		return err
-	}
-	m, err := s.resolveIngestMetric(name, weighted)
-	if err != nil {
-		return err
-	}
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	if seq <= ent.hw.Load() {
-		return nil
-	}
-	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
-		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
-	}
-	// Reserve queue space before the append: a shed batch was never made
-	// durable, so the client's retry cannot double-count. Reserving outside
-	// the gate keeps a blocked reservation from stalling the checkpointer.
-	if err := m.q.reserve(false); err != nil {
-		return err
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.wal != nil {
-		recName, recVals := s.reg.walRecordName(name), vs
-		if weighted {
-			recName, recVals = weightedWALPrefix+name, interleaveWeighted(vs, ws)
-		}
-		if _, err := s.wal.AppendPipelinedSeq(recName, recVals, sid, seq); err != nil {
-			m.q.cancel()
-			s.health.noteWAL(err)
-			// The WAL may now hold a record for (sid, seq) that was never
-			// enqueued here, but the mark was not advanced and the stream
-			// dies: the client's retry re-logs and applies it, and recovery
-			// dedups the two records via replayAdvance.
-			return fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		s.health.noteWAL(nil)
-	}
-	// Enqueue-then-advance keeps the high-water contract: a seq at or below
-	// the mark is always either applied or queued behind a drain barrier,
-	// and it is durable in the WAL either way.
-	s.enqueueApply(m, vs, ws, buf)
-	ent.hw.Store(seq)
-	return nil
-}
-
-// resolveIngestMetric returns (creating if needed) the batch's target metric,
-// whose apply queue the caller reserves before appending to the WAL.
-func (s *Server) resolveIngestMetric(name string, weighted bool) (*metric, error) {
-	if weighted {
-		return s.reg.getOrCreateBackend(name, quantile.BackendWeighted)
-	}
-	return s.reg.getOrCreate(name)
-}
-
-// enqueueApply hands one validated, durable batch to the metric's apply
-// queue. When the values (and weights) are zero-copy views into the pooled
-// frame buffer the queue retains the buffer until the batch is applied; a
-// scratch-decoded fallback view is copied out, since its backing array is
-// reused by the next frame. The caller has already reserved queue space.
-func (s *Server) enqueueApply(m *metric, vs, ws []float64, buf *pooledBuf) {
-	if len(vs) == 0 {
-		m.q.cancel()
-		m.batches.Add(1) // empty batches count, same as the sync path
-		return
-	}
-	if buf != nil && viewInto(buf.b, vs) && (ws == nil || viewInto(buf.b, ws)) {
-		buf.retain()
-	} else {
-		buf = nil
-		vs = append([]float64(nil), vs...)
-		if ws != nil {
-			ws = append([]float64(nil), ws...)
-		}
-	}
-	m.q.enqueue(m, applyItem{vs: vs, ws: ws, buf: buf})
-}
-
-// ingestBatchPipelined is ingestBatch on the group-commit WAL path: the
-// append shares its fsync with whatever other binary batches are in flight,
-// so decode never serializes behind the sync. The ack contract is
-// unchanged — a nil return under every-batch means the batch is durable.
-func (s *Server) ingestBatchPipelined(name string, vs []float64, buf *pooledBuf) error {
-	if err := s.reg.ValidateIngest(name, vs); err != nil {
-		return err
-	}
-	m, err := s.reg.getOrCreate(name)
-	if err != nil {
-		return err
-	}
-	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
-		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
-	}
-	if err := m.q.reserve(false); err != nil {
-		return err
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.wal != nil {
-		if _, err := s.wal.AppendPipelined(s.reg.walRecordName(name), vs); err != nil {
-			m.q.cancel()
-			s.health.noteWAL(err)
-			return fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		s.health.noteWAL(nil)
-	}
-	s.enqueueApply(m, vs, nil, buf)
-	return nil
-}
-
-// ingestWeightedBatchPipelined is ingestWeightedBatch on the group-commit
-// WAL path.
-func (s *Server) ingestWeightedBatchPipelined(name string, vs, ws []float64, buf *pooledBuf) error {
-	if err := s.reg.ValidateIngestWeighted(name, vs, ws); err != nil {
-		return err
-	}
-	m, err := s.reg.getOrCreateBackend(name, quantile.BackendWeighted)
-	if err != nil {
-		return err
-	}
-	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
-		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
-	}
-	if err := m.q.reserve(false); err != nil {
-		return err
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.wal != nil {
-		if _, err := s.wal.AppendPipelined(weightedWALPrefix+name, interleaveWeighted(vs, ws)); err != nil {
-			m.q.cancel()
-			s.health.noteWAL(err)
-			return fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		s.health.noteWAL(nil)
-	}
-	s.enqueueApply(m, vs, ws, buf)
-	return nil
-}
-
 // handleIngestBin serves POST /ingest/bin: the body is one binary ingest
 // stream (prologue + frames) and the response is the same JSON ingest reply
 // as POST /ingest. Within HTTP no ack or sessionAck frames are emitted — the
-// status code is the ack. Session frames and sequenced batches (v2 bodies)
-// are honoured, so a retried POST of the same body is idempotent; the
-// duplicate batches are counted as accepted, exactly as their originals
-// were.
+// status code is the ack. Session frames and sequenced batches are
+// honoured, so a retried POST of the same body is idempotent; the duplicate
+// batches are counted as accepted, exactly as their originals were.
 func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
 		s.writeIngestError(w, fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr))
@@ -311,14 +133,13 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
 		return
 	}
-	version, err := parseBinPrologue(buf.b)
-	if err != nil {
+	if err := parseBinPrologue(buf.b); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The pooled body buffer starts 8-aligned and the prologue is 8 bytes,
 	// so every frame payload below parses with the zero-copy value view.
-	bs := newBinSession(s, version)
+	bs := newBinSession(s)
 	defer bs.close()
 	rest := buf.b[binPrologueLen:]
 	var resp ingestResponse
@@ -347,22 +168,15 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 }
 
 // ackStatus compresses the HTTP status taxonomy into the ack frame's status
-// byte. 0 is success; anything else carries the error message.
-//
-// "Retry" comes with a version caveat. On a v2 stream with a session,
-// sequenced batches are deduplicated by sequence number, so retrying (after
-// an error ack or a dead connection) is exactly-once. On a v1 stream batch
-// frames carry no identity, so retries are at-most-once ONLY when the error
-// ack itself arrived — the server did not apply the batch. After a lost ack
-// (connection died mid-batch) a v1 retry MAY double-count: the batch could
-// have been applied with its ack never delivered. v1 clients that cannot
-// tolerate duplicates must surface that case to the caller instead of
-// blindly resending (binclient returns ErrMaybeApplied there).
+// byte. 0 is success; anything else carries the error message. Sequenced
+// batches on a session are deduplicated by sequence number, so retrying one
+// (after an error ack or a dead connection) is exactly-once; an unsequenced
+// batch carries no identity, so its retry after a lost ack may double-count.
 const (
 	ackOK          = 0
 	ackBadRequest  = 1 // malformed frame, bad metric/backend/weights — do not retry
-	ackDegraded    = 2 // server shedding ingest — retry later (see version caveat above)
-	ackUnavailable = 3 // batch not made durable — retry (see version caveat above)
+	ackDegraded    = 2 // server shedding ingest — retry later
+	ackUnavailable = 3 // batch not made durable — retry
 	ackInternal    = 4
 )
 
@@ -383,13 +197,11 @@ func ackStatusFor(err error) byte {
 // Shutdown. Each connection is one stream: prologue, then frames; every
 // batch frame is answered by one ack frame, in order, after its batch is
 // durable under the WAL policy, and every session frame by one sessionAck.
-// On v1 streams ingest failures (bad values, unknown id, degraded server)
-// draw an error ack and the stream continues; on v2 streams every failed
-// batch is fatal (error ack, then close) — the exactly-once high-water mark
-// is only sound while application is a contiguous prefix, so a v2 stream
-// never applies past a failed batch. Framing errors (bad prologue, CRC
-// mismatch, torn frame) draw a final error ack and close the connection on
-// either version.
+// Every failed batch is fatal (error ack, then close): the exactly-once
+// high-water mark is only sound while application is a contiguous prefix,
+// so a stream never applies past a failed batch. Framing errors (bad
+// prologue, CRC mismatch, torn frame) likewise draw a final error ack and
+// close the connection.
 func (s *Server) ServeBinary(ln net.Listener) error {
 	s.mu.Lock()
 	if s.binClosed {
@@ -500,12 +312,11 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 	if _, err := io.ReadFull(br, pro[:]); err != nil {
 		return
 	}
-	version, err := parseBinPrologue(pro[:])
-	if err != nil {
+	if err := parseBinPrologue(pro[:]); err != nil {
 		fatal(err)
 		return
 	}
-	bs := newBinSession(s, version)
+	bs := newBinSession(s)
 	defer bs.close()
 	hdr := make([]byte, binFrameHeaderLen)
 	var ackBuf []byte
@@ -560,26 +371,17 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		}
 		accepted, err := bs.handleFrame(fr, payload)
 		payload.release()
-		if fr.typ != binFrameBatch {
-			if err != nil {
-				fatal(err)
-				return
-			}
-			continue
-		}
-		if err != nil && bs.version >= binVersion2 {
-			// Exactly-once discipline: never apply past a failed batch (see
-			// ingestBatchSeq). The client reconnects and replays from the
-			// high-water mark the fresh sessionAck reports.
+		if err != nil {
+			// Exactly-once discipline: never apply past a failed batch. The
+			// client reconnects and replays from the high-water mark the
+			// fresh sessionAck reports.
 			fatal(err)
 			return
 		}
-		ackBuf = ackBuf[:0]
-		if err != nil {
-			ackBuf = AppendAckFrame(ackBuf, ackStatusFor(err), 0, err.Error())
-		} else {
-			ackBuf = AppendAckFrame(ackBuf, ackOK, uint32(accepted), "")
+		if fr.typ != binFrameBatch {
+			continue
 		}
+		ackBuf = AppendAckFrame(ackBuf[:0], ackOK, uint32(accepted), "")
 		writeDeadline()
 		if _, err := bw.Write(ackBuf); err != nil {
 			return

@@ -19,7 +19,7 @@ import (
 //
 // A stream is one 8-byte prologue followed by frames:
 //
-//	prologue  'M' 'R' 'L' 'B'  version (1 or 2)  0 0 0
+//	prologue  'M' 'R' 'L' 'B'  version (2)  0 0 0
 //	frame     [u32 payloadLen][u32 crc32c(payload)][payload]
 //
 // payloadLen must be a positive multiple of 8 (pad bytes are zero and
@@ -44,18 +44,17 @@ import (
 // zero: the format is canonical, so any accepted frame re-encodes to the
 // exact bytes it arrived as (the fuzz target holds the decoder to this).
 //
-// Version 2 adds exactly-once ingest. A writer declares a nonzero client
-// session id with a session frame; on the TCP carrier the server answers
+// The prologue's version byte is 2. For exactly-once ingest a writer
+// declares a nonzero client session id with a session frame; on the TCP carrier the server answers
 // with one sessionAck frame carrying the session's durable high-water mark
 // — the highest batch sequence number it has already applied — so a
 // reconnecting writer can prune its replay queue before resending unacked
 // frames. Batch frames may then set the sequenced flag and carry a
 // per-session, strictly monotonic (from 1) sequence number: the server
 // applies a sequence number at most once, so a retry after a lost ack is
-// acknowledged as a duplicate instead of double-counted. Session and
-// sequenced-batch frames are rejected on version-1 streams, whose batches
-// keep the original at-most-once semantics: a retry after a lost ack MAY
-// double-count (see the ack status taxonomy in binhandler.go).
+// acknowledged as a duplicate instead of double-counted. Unsequenced
+// batches stay legal, with or without a session; their retry after a lost
+// ack may double-count (see the ack status taxonomy in binhandler.go).
 //
 // Servers answer each batch frame of a TCP stream with one ack frame, in
 // order. Within the HTTP carrier the response is the usual JSON ingest
@@ -63,8 +62,7 @@ import (
 // a retried POST /ingest/bin body with sequenced batches is idempotent).
 const (
 	binMagic          = "MRLB"
-	binVersion        = 1
-	binVersion2       = 2
+	binVersion        = 2
 	binPrologueLen    = 8
 	binFrameHeaderLen = 8 // payloadLen u32 + crc32c u32
 
@@ -124,40 +122,27 @@ func f64view(b []byte, n int, scratch []float64) []float64 {
 	return scratch
 }
 
-// AppendBinPrologue appends the 8-byte version-1 stream prologue
-// (at-most-once batches, no sessions).
-func AppendBinPrologue(buf []byte) []byte {
-	return append(buf, binMagic[0], binMagic[1], binMagic[2], binMagic[3], binVersion, 0, 0, 0)
-}
-
 // AppendBinPrologueV2 appends the 8-byte version-2 stream prologue; the
 // stream may then carry session frames and sequenced batches.
 func AppendBinPrologueV2(buf []byte) []byte {
-	return append(buf, binMagic[0], binMagic[1], binMagic[2], binMagic[3], binVersion2, 0, 0, 0)
+	return append(buf, binMagic[0], binMagic[1], binMagic[2], binMagic[3], binVersion, 0, 0, 0)
 }
 
-// parseBinPrologue validates the 8-byte stream prologue and returns its
-// version (1 or 2).
-func parseBinPrologue(b []byte) (byte, error) {
+// parseBinPrologue validates the 8-byte stream prologue.
+func parseBinPrologue(b []byte) error {
 	if len(b) < binPrologueLen {
-		return 0, fmt.Errorf("%w: short prologue (%d bytes)", ErrBadFrame, len(b))
+		return fmt.Errorf("%w: short prologue (%d bytes)", ErrBadFrame, len(b))
 	}
 	if string(b[:4]) != binMagic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrBadFrame, b[:4])
+		return fmt.Errorf("%w: bad magic %q", ErrBadFrame, b[:4])
 	}
-	if b[4] != binVersion && b[4] != binVersion2 {
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, b[4])
+	if b[4] != binVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrBadFrame, b[4])
 	}
 	if b[5] != 0 || b[6] != 0 || b[7] != 0 {
-		return 0, fmt.Errorf("%w: nonzero prologue padding", ErrBadFrame)
+		return fmt.Errorf("%w: nonzero prologue padding", ErrBadFrame)
 	}
-	return b[4], nil
-}
-
-// CheckBinPrologue validates the 8-byte stream prologue (either version).
-func CheckBinPrologue(b []byte) error {
-	_, err := parseBinPrologue(b)
-	return err
+	return nil
 }
 
 // appendBinFrame wraps payload in the frame header. The payload length must
@@ -199,8 +184,7 @@ func AppendBatchFrame(buf []byte, id uint32, values, weights []float64) []byte {
 
 // AppendBatchSeqFrame appends a sequenced batch frame: seq is the
 // per-session, strictly monotonic (from 1) sequence number the server
-// dedups retries on. The stream must be version 2 and must have declared a
-// session first.
+// dedups retries on. The stream must have declared a session first.
 func AppendBatchSeqFrame(buf []byte, id uint32, seq uint64, values, weights []float64) []byte {
 	return appendBatchFrame(buf, id, seq, true, values, weights)
 }

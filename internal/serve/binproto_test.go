@@ -67,11 +67,11 @@ func TestBinProtoRoundTrip(t *testing.T) {
 		}
 	}
 	// The whole stream concatenates and splits back apart.
-	stream := AppendBinPrologue(nil)
+	stream := AppendBinPrologueV2(nil)
 	for _, f := range frames {
 		stream = append(stream, f...)
 	}
-	if err := CheckBinPrologue(stream); err != nil {
+	if err := parseBinPrologue(stream); err != nil {
 		t.Fatal(err)
 	}
 	rest := stream[binPrologueLen:]
@@ -81,6 +81,19 @@ func TestBinProtoRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
+	}
+	// The same writer body under a version-1 prologue is a bad frame, for
+	// the stream check and the forwarding decoder alike.
+	body := binStreamBody(1, "m", "", [][2][]float64{{[]float64{1, 2}, nil}})
+	if _, err := DecodeBinBody(body); err != nil {
+		t.Fatal(err)
+	}
+	body[4] = 1
+	if err := parseBinPrologue(body); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("v1 prologue: %v, want ErrBadFrame", err)
+	}
+	if _, err := DecodeBinBody(body); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("DecodeBinBody on a v1 body: %v, want ErrBadFrame", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -161,9 +160,9 @@ func TestBinSessionDedupRawFrames(t *testing.T) {
 	}
 }
 
-// TestBinSessionProtocolErrors pins the fatal protocol misuses: a session
-// frame on a v1 stream, and a sequenced batch before any session frame.
-// Both draw an error ack and a closed connection.
+// TestBinSessionProtocolErrors pins the fatal protocol misuses: a
+// version-1 prologue, and a sequenced batch before any session frame. Both
+// draw an error ack and a closed connection.
 func TestBinSessionProtocolErrors(t *testing.T) {
 	_, _, addr := startBinServer(t, crashOptions(faultfs.NewMem()))
 	expectFatal := func(stream []byte) {
@@ -190,8 +189,9 @@ func TestBinSessionProtocolErrors(t *testing.T) {
 		}
 	}
 
-	// Session frame on a version-1 stream.
-	v1 := AppendBinPrologue(nil)
+	// A version-1 prologue.
+	v1 := AppendBinPrologueV2(nil)
+	v1[4] = 1
 	v1 = AppendSessionFrame(v1, 9)
 	expectFatal(v1)
 
@@ -243,134 +243,6 @@ func TestBinClientAckLostConfirmedByHighWater(t *testing.T) {
 		t.Fatalf("batch resent %d times; the high-water mark should have confirmed it", st.SentBatches-1)
 	}
 	mustCount(t, reg, "lat", 3)
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBinClientLegacyMaybeApplied is the v1 counterpart: same lost ack, but
-// the stream carries no identity to dedup a resend by, so the client must
-// refuse to guess — the batch is abandoned, counted, and surfaced as
-// ErrMaybeApplied, and the server-side count shows it was applied once
-// (a blind resend would have doubled it).
-func TestBinClientLegacyMaybeApplied(t *testing.T) {
-	_, reg, addr := startBinServer(t, crashOptions(faultfs.NewMem()))
-	in := faultnet.New(faultnet.Options{Seed: 2})
-
-	client, err := NewBinClient(BinClientOptions{
-		Addr:        addr,
-		Dial:        in.Dialer(nil),
-		Metric:      "lat",
-		Legacy:      true,
-		RetryMin:    time.Millisecond,
-		RetryMax:    10 * time.Millisecond,
-		AckTimeout:  time.Second,
-		MaxInflight: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Send([]float64{4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	waitForCount(t, reg, "lat", 2)
-	in.SeverAll()
-
-	if err := client.Flush(); !errors.Is(err, ErrMaybeApplied) {
-		t.Fatalf("flush = %v, want ErrMaybeApplied", err)
-	}
-	st := client.Stats()
-	if st.MaybeAppliedBatches != 1 || st.MaybeAppliedValues != 2 {
-		t.Fatalf("stats %+v: want 1 maybe-applied batch of 2 values", st)
-	}
-	if st.SentBatches != 1 {
-		t.Fatalf("v1 client resent an ambiguous batch (%d sends)", st.SentBatches)
-	}
-	mustCount(t, reg, "lat", 2)
-}
-
-// TestBinClientDowngradeToV1 is version negotiation against yesterday's
-// server: a stub that only speaks MRLB v1 answers the v2 prologue with a
-// fatal error ack, and the client must downgrade permanently, reconnect as
-// v1, and deliver everything.
-func TestBinClientDowngradeToV1(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var mu sync.Mutex
-	stubValues := 0
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				var pro [binPrologueLen]byte
-				if _, err := io.ReadFull(br, pro[:]); err != nil {
-					return
-				}
-				if pro[4] != 1 {
-					_, _ = conn.Write(AppendAckFrame(nil, ackBadRequest, 0, "serve: unsupported binary protocol version"))
-					return
-				}
-				for {
-					fr, err := readBinReply(br)
-					if err != nil {
-						return
-					}
-					if fr.typ != binFrameBatch {
-						continue // dict frames carry no ack
-					}
-					mu.Lock()
-					stubValues += len(fr.values)
-					mu.Unlock()
-					if _, err := conn.Write(AppendAckFrame(nil, ackOK, uint32(len(fr.values)), "")); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	client, err := NewBinClient(BinClientOptions{
-		Addr:     ln.Addr().String(),
-		Metric:   "lat",
-		RetryMin: time.Millisecond,
-		RetryMax: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if client.Downgraded() {
-		t.Fatal("client downgraded before its first connection")
-	}
-	if err := client.Send([]float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Send([]float64{4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if !client.Downgraded() {
-		t.Fatal("client never noticed the v1-only server")
-	}
-	st := client.Stats()
-	if st.AckedBatches != 2 || st.AckedValues != 4 {
-		t.Fatalf("stats %+v: want both batches delivered over v1", st)
-	}
-	mu.Lock()
-	got := stubValues
-	mu.Unlock()
-	if got != 4 {
-		t.Fatalf("stub server counted %d values, want 4", got)
-	}
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -505,11 +377,11 @@ func TestBinListenerTimeouts(t *testing.T) {
 	}
 
 	// Idle: a prologue and then silence.
-	expectClosed("idle", AppendBinPrologue(nil))
+	expectClosed("idle", AppendBinPrologueV2(nil))
 
 	// Slow loris: a frame header promising a payload that never arrives.
 	frame := AppendBatchFrame(nil, 1, []float64{1, 2, 3, 4}, nil)
-	stalled := append(AppendBinPrologue(nil), frame[:binFrameHeaderLen+8]...)
+	stalled := append(AppendBinPrologueV2(nil), frame[:binFrameHeaderLen+8]...)
 	expectClosed("mid-frame stall", stalled)
 }
 

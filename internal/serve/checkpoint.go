@@ -18,21 +18,17 @@ import (
 
 // Checkpoint layout (little endian):
 //
-//	magic "MRLD" | version u8 | walSeq u64 | metricCount u32
+//	magic "MRLD" | version u8 (4) | walSeq u64 | metricCount u32
 //	per metric (sorted by name):
 //	  nameLen u16 | name | backendLen u8 | backend | blobCount u32
 //	  per blob: blobLen u32 | blob
-//
-// Version 4 appends the binary ingest session table after the metrics:
-//
 //	sessionCount u32
 //	per session (sorted by id): sessionID u64 | highWater u64
 //
 // walSeq is the write-ahead-log position the checkpoint covers: every WAL
 // record with sequence number <= walSeq is already folded into the sketches
-// below, so recovery replays only the suffix. Version 1 checkpoints (no
-// walSeq field), version 2 checkpoints (no backend tag; every metric is
-// MRL) and version 3 checkpoints (no session table) are still readable.
+// below, so recovery replays only the suffix. The trailing table holds the
+// binary ingest sessions' dedup high-water marks.
 //
 // Each blob is one sealed estimator of the metric's backend in its
 // MarshalBinary wire format, so a checkpoint is just a named bundle of the
@@ -230,18 +226,12 @@ func (r *Registry) Restore(src io.Reader) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
 	}
-	var walSeq uint64
-	switch version {
-	case 1:
-		// Pre-WAL format: no position field, covers nothing.
-	case 2, 3, ckptVersion:
-		// Version 2 predates backend tags: every metric below is MRL.
-		// Version 3 predates the session table.
-		if err := binary.Read(br, binary.LittleEndian, &walSeq); err != nil {
-			return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
-		}
-	default:
+	if version != ckptVersion {
 		return 0, fmt.Errorf("serve: unsupported checkpoint version %d", version)
+	}
+	var walSeq uint64
+	if err := binary.Read(br, binary.LittleEndian, &walSeq); err != nil {
+		return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
 	}
 	var nMetrics uint32
 	if err := binary.Read(br, binary.LittleEndian, &nMetrics); err != nil {
@@ -271,21 +261,17 @@ func (r *Registry) Restore(src io.Reader) (uint64, error) {
 			return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
 		}
 		name := string(nameBytes)
-		// Versions without backend tags carry MRL sketches only.
-		backend := quantile.BackendMRL
-		if version >= 3 {
-			tagLen, err := br.ReadByte()
-			if err != nil {
-				return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
-			}
-			tag := make([]byte, tagLen)
-			if _, err := io.ReadFull(br, tag); err != nil {
-				return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
-			}
-			backend, err = quantile.ParseBackend(string(tag))
-			if err != nil {
-				return 0, fmt.Errorf("serve: restoring %q: %w: %v", name, ErrInvalidBackend, err)
-			}
+		tagLen, err := br.ReadByte()
+		if err != nil {
+			return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
+		}
+		tag := make([]byte, tagLen)
+		if _, err := io.ReadFull(br, tag); err != nil {
+			return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
+		}
+		backend, err := quantile.ParseBackend(string(tag))
+		if err != nil {
+			return 0, fmt.Errorf("serve: restoring %q: %w: %v", name, ErrInvalidBackend, err)
 		}
 		var nBlobs uint32
 		if err := binary.Read(br, binary.LittleEndian, &nBlobs); err != nil {
@@ -347,24 +333,22 @@ func (r *Registry) Restore(src io.Reader) (uint64, error) {
 		it.m.restored = append(it.m.restored, it.ests...)
 		it.m.resMu.Unlock()
 	}
-	if version >= 4 {
-		var nSessions uint32
-		if err := binary.Read(br, binary.LittleEndian, &nSessions); err != nil {
+	var nSessions uint32
+	if err := binary.Read(br, binary.LittleEndian, &nSessions); err != nil {
+		return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
+	}
+	for i := uint32(0); i < nSessions; i++ {
+		var sid, hw uint64
+		if err := binary.Read(br, binary.LittleEndian, &sid); err != nil {
 			return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
 		}
-		for i := uint32(0); i < nSessions; i++ {
-			var sid, hw uint64
-			if err := binary.Read(br, binary.LittleEndian, &sid); err != nil {
-				return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
-			}
-			if err := binary.Read(br, binary.LittleEndian, &hw); err != nil {
-				return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
-			}
-			if sid == 0 || hw == 0 {
-				return 0, fmt.Errorf("serve: zero session id or high-water mark in checkpoint")
-			}
-			r.sessions.restoreMark(sid, hw)
+		if err := binary.Read(br, binary.LittleEndian, &hw); err != nil {
+			return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
 		}
+		if sid == 0 || hw == 0 {
+			return 0, fmt.Errorf("serve: zero session id or high-water mark in checkpoint")
+		}
+		r.sessions.restoreMark(sid, hw)
 	}
 	// The format is self-delimiting; trailing garbage means the file was
 	// not produced by WriteCheckpoint.

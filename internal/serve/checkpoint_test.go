@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -153,11 +154,19 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	if _, err := fresh().Restore(bytes.NewReader(append(append([]byte(nil), blob...), 0))); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Version bump must be rejected, not misparsed.
-	bad := append([]byte(nil), blob...)
-	bad[4] = ckptVersion + 1
-	if _, err := fresh().Restore(bytes.NewReader(bad)); err == nil {
-		t.Error("future version accepted")
+	// Any version but the current one is rejected before anything is
+	// restored, not misparsed: the older layouts and a future bump alike.
+	for _, version := range []byte{1, 2, 3, ckptVersion + 1} {
+		bad := append([]byte(nil), blob...)
+		bad[4] = version
+		r := fresh()
+		_, err := r.Restore(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Errorf("version %d: err = %v, want unsupported checkpoint version", version, err)
+		}
+		if r.Len() != 0 {
+			t.Errorf("version %d: rejected checkpoint created %d metrics", version, r.Len())
+		}
 	}
 }
 

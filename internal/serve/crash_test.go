@@ -73,17 +73,10 @@ func runCrashLife(t *testing.T, seed int64) {
 	var acked []float64
 	var failed []float64 // the single batch whose ack failed, if any
 
-	// Half the seeds ingest through the pipelined (binary-path) WAL append
-	// instead of the plain one, so every fault kind hits the group-commit
-	// committer too. Driven sequentially, each commit group holds exactly
-	// one frame, which keeps the two-candidate oracle invariant intact.
-	binPath := seed%8 >= 4
-	ingest1 := s1.ingestBatch
-	if binPath {
-		ingest1 = func(name string, vs []float64) error {
-			return s1.ingestBatchPipelined(name, vs, nil)
-		}
-	}
+	// Every batch takes the one ingest path, so every fault kind hits the
+	// group-commit committer. Driven sequentially, each commit group holds
+	// exactly one frame, which keeps the two-candidate oracle invariant
+	// intact.
 
 	// The fault fires partway through the stream; which kind depends on the
 	// seed so the suite as a whole covers all of them.
@@ -123,7 +116,7 @@ func runCrashLife(t *testing.T, seed int64) {
 		}
 		batch := data[:n]
 		data = data[n:]
-		if err := ingest1("lat", batch); err != nil {
+		if err := s1.ingest("lat", batch, nil, nil, nil); err != nil {
 			// First failed ack ends the life: the oracle stays two-candidate
 			// (acked, or acked plus exactly this batch).
 			failed = batch
@@ -156,16 +149,10 @@ func runCrashLife(t *testing.T, seed int64) {
 
 	// The recovered server keeps working: more ingest, a graceful shutdown
 	// (final checkpoint + WAL prune), and a third life must still agree.
+	// The ingest path also has to survive recovery AND the Shutdown below,
+	// which drains the committer before sealing the log.
 	extra := permutation(200)
-	ingest2 := s2.ingestBatch
-	if binPath {
-		// The pipelined path also has to survive recovery AND the Shutdown
-		// below, which drains the committer before sealing the log.
-		ingest2 = func(name string, vs []float64) error {
-			return s2.ingestBatchPipelined(name, vs, nil)
-		}
-	}
-	if err := ingest2("lat", extra); err != nil {
+	if err := s2.ingest("lat", extra, nil, nil, nil); err != nil {
 		t.Fatalf("ingest after recovery: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -403,7 +390,7 @@ func TestWALRecoveryRealFS(t *testing.T) {
 	data := permutation(20_000)
 	const chunk = 1000
 	for off := 0; off < len(data); off += chunk {
-		if err := s1.ingestBatch("lat", data[off:off+chunk]); err != nil {
+		if err := s1.ingest("lat", data[off:off+chunk], nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mrl/internal/wal"
+	"mrl/quantile"
 )
 
 // Typed failures of the durability path; the HTTP layer maps them onto 429
@@ -140,51 +141,113 @@ func (s *Server) recoverState() error {
 	return nil
 }
 
-// ingestBatch is the WAL-then-apply ingest path. The batch is validated
-// first (an unapplicable batch must never become durable), shed while
-// degraded, and otherwise appended to the log before it touches any sketch
-// — all under the read side of the checkpoint gate, so a checkpoint cut
-// never observes a batch in the log but not in the sketches or vice versa.
-func (s *Server) ingestBatch(name string, vs []float64) error {
-	if err := s.reg.ValidateIngest(name, vs); err != nil {
-		return err
-	}
-	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
-		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.wal != nil {
-		if _, err := s.wal.Append(s.reg.walRecordName(name), vs); err != nil {
-			s.health.noteWAL(err)
-			return fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		s.health.noteWAL(nil)
-	}
-	return s.reg.Ingest(name, vs)
+// batchID is a sequenced batch's exactly-once identity: the stream's pinned
+// session entry and the batch's per-session sequence number.
+type batchID struct {
+	ent *sessionEntry
+	seq uint64
 }
 
-// ingestWeightedBatch is ingestBatch for (value, weight) batches: the record
-// lands in the log under the reserved weighted prefix with values and
-// weights interleaved, so replay can reconstruct the pairs (see
-// Registry.ApplyReplay).
-func (s *Server) ingestWeightedBatch(name string, vs, ws []float64) error {
-	if err := s.reg.ValidateIngestWeighted(name, vs, ws); err != nil {
+// ingest is the one write path every carrier feeds — JSON objects and MRLB
+// batch frames over HTTP or TCP alike. ws is non-nil for weighted batches;
+// buf is the pooled buffer vs and ws view into, nil when they are caller
+// scratch (enqueueApply then copies them out); id is set for sequenced
+// batches. A nil return means the batch is durable under the WAL policy and
+// queued for apply behind every read-your-acks drain barrier.
+//
+// The batch is validated first (a batch that can never be applied must
+// never become durable) and shed while degraded. Queue space is reserved
+// before the WAL append, so a shed batch (ErrApplyBacklog) was never made
+// durable and its retry cannot double-count; reserving outside the
+// checkpoint gate keeps a blocked reservation from stalling the
+// checkpointer. The append and the enqueue then run under the gate's read
+// side, so a checkpoint cut — which drains every queue under the write
+// side — holds exactly the batches at or below its WAL position.
+//
+// A sequenced batch runs dedup check, append, enqueue and high-water
+// advance under its session entry's mutex, so two connections replaying one
+// session cannot interleave and double-apply. The gate is taken inside the
+// entry mutex and the checkpointer never takes an entry mutex (hw is
+// atomic), so the lock order is acyclic. A seq at or below the mark is a
+// retry of a batch already counted: it is accepted without being applied,
+// before the degraded check — a duplicate costs no durability, so shedding
+// it would only stall the client's replay.
+func (s *Server) ingest(name string, vs, ws []float64, buf *pooledBuf, id *batchID) error {
+	if err := s.reg.validateBatch(name, vs, ws); err != nil {
 		return err
+	}
+	var m *metric
+	var err error
+	if ws != nil {
+		m, err = s.reg.getOrCreateBackend(name, quantile.BackendWeighted)
+	} else {
+		m, err = s.reg.getOrCreate(name)
+	}
+	if err != nil {
+		return err
+	}
+	var sid, seq uint64
+	if id != nil {
+		id.ent.mu.Lock()
+		defer id.ent.mu.Unlock()
+		if id.seq <= id.ent.hw.Load() {
+			return nil
+		}
+		sid, seq = id.ent.sid, id.seq
 	}
 	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
 		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
 	}
+	if err := m.q.reserve(false); err != nil {
+		return err
+	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.wal != nil {
-		if _, err := s.wal.Append(weightedWALPrefix+name, interleaveWeighted(vs, ws)); err != nil {
+		recName, recVals := s.reg.walRecord(m, vs, ws)
+		if _, err := s.wal.AppendPipelinedSeq(recName, recVals, sid, seq); err != nil {
+			m.q.cancel()
 			s.health.noteWAL(err)
+			// The WAL may now hold a record for (sid, seq) that was never
+			// enqueued here, but the mark was not advanced and the stream
+			// dies: the client's retry re-logs and applies it, and recovery
+			// dedups the two records via replayAdvance.
 			return fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
 		s.health.noteWAL(nil)
 	}
-	return s.reg.IngestWeighted(name, vs, ws)
+	s.enqueueApply(m, vs, ws, buf)
+	if id != nil {
+		// Enqueue-then-advance keeps the high-water contract: a seq at or
+		// below the mark is always either applied or queued behind a drain
+		// barrier, and it is durable in the WAL either way.
+		id.ent.hw.Store(id.seq)
+	}
+	return nil
+}
+
+// enqueueApply hands one validated, durable batch to the metric's apply
+// queue. When the values (and weights) are zero-copy views into the pooled
+// frame buffer the queue retains the buffer until the batch is applied;
+// anything else — a scratch-decoded frame, a JSON request's pooled decode
+// slices — is copied out, since its backing array is reused by the next
+// batch. The caller has already reserved queue space.
+func (s *Server) enqueueApply(m *metric, vs, ws []float64, buf *pooledBuf) {
+	if len(vs) == 0 {
+		m.q.cancel()
+		m.batches.Add(1) // empty batches count, same as the sync path
+		return
+	}
+	if buf != nil && viewInto(buf.b, vs) && (ws == nil || viewInto(buf.b, ws)) {
+		buf.retain()
+	} else {
+		buf = nil
+		vs = append([]float64(nil), vs...)
+		if ws != nil {
+			ws = append([]float64(nil), ws...)
+		}
+	}
+	m.q.enqueue(m, applyItem{vs: vs, ws: ws, buf: buf})
 }
 
 // saveCheckpoint cuts an exact checkpoint: the gate's write side excludes

@@ -99,14 +99,14 @@ type Config struct {
 	// ingest; a metric's backend is fixed once created.
 	Backend string
 
-	// ApplyWorkers sizes the async apply worker pool draining the binary
-	// ingest queues: 0 (the default) means one per GOMAXPROCS, -1 disables
+	// ApplyWorkers sizes the async apply worker pool draining the ingest
+	// queues: 0 (the default) means one per GOMAXPROCS, -1 disables
 	// the pool entirely so queued batches apply only at drain barriers
 	// (queries, rotations, checkpoints).
 	ApplyWorkers int
 
 	// ApplyQueueDepth bounds one metric's apply backlog, in batches; 0 means
-	// 256. A full queue exerts backpressure on the binary ingest path per
+	// 256. A full queue exerts backpressure on the ingest path per
 	// ApplyShed.
 	ApplyQueueDepth int
 
@@ -149,8 +149,8 @@ type metric struct {
 	cacheMu sync.Mutex
 	cache   map[queryCacheKey]queryCacheEntry
 
-	// q is the metric's async apply backlog (binary ingest and recovery
-	// enqueue here; see applyqueue.go).
+	// q is the metric's async apply backlog (every ingest carrier and
+	// recovery enqueue here; see applyqueue.go).
 	q applyQueue
 }
 
@@ -219,7 +219,7 @@ type Registry struct {
 	// pool drains the per-metric apply queues; see applyqueue.go.
 	pool *applyPool
 
-	// sessions is the binary ingest exactly-once dedup table (MRLB v2);
+	// sessions is the binary ingest exactly-once dedup table;
 	// see session.go.
 	sessions *sessionTable
 
@@ -385,19 +385,17 @@ func (r *Registry) Names() []string {
 }
 
 // Ingest routes one batch of values into the metric's all-time sketch (via
-// the sharded AddBatch fast path) and its current tumbling window. The
-// metric is created on first use. Ingestion is all-or-nothing: a NaN
-// anywhere rejects the whole batch before either structure consumes an
-// element. Empty batches are accepted as no-ops.
+// the sharded AddBatch fast path) and its current tumbling window,
+// synchronously. The metric is created on first use. Ingestion is
+// all-or-nothing: a NaN anywhere rejects the whole batch before either
+// structure consumes an element. Empty batches are accepted as no-ops.
 func (r *Registry) Ingest(name string, vs []float64) error {
 	m, err := r.getOrCreate(name)
 	if err != nil {
 		return err
 	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
+	if err := r.validateBatch(name, vs, nil); err != nil {
+		return err
 	}
 	return m.applyPlain(vs, false)
 }
@@ -495,9 +493,52 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 	return nil
 }
 
-// validateWeights checks that ws pairs up with vs and every weight is
-// positive and finite (the weighted summary's ingest contract).
-func validateWeights(vs, ws []float64) error {
+// IngestWeighted routes one batch of (value, weight) pairs into the metric's
+// all-time summary, synchronously. The metric must run — or, if created
+// here, the registry default must be — the "weighted" backend; anything else
+// is ErrWeightsUnsupported. The tumbling window ring is bypassed: it
+// summarises unweighted recency and has no way to carry weights.
+// All-or-nothing like Ingest.
+func (r *Registry) IngestWeighted(name string, vs, ws []float64) error {
+	if err := r.validateBatch(name, vs, ws); err != nil {
+		return err
+	}
+	m, err := r.getOrCreateBackend(name, quantile.BackendWeighted)
+	if err != nil {
+		return err
+	}
+	return m.applyWeighted(vs, ws, false)
+}
+
+// validateBatch is the one ingest validator, run by every write path before
+// a batch is logged or applied, so a batch that can never be applied never
+// becomes durable either. A new metric needs an acceptable name; a weighted
+// batch (ws non-nil) needs a metric on the "weighted" backend — for a new
+// metric, the registry default; values must be NaN-free and weights paired
+// with them, positive and finite.
+func (r *Registry) validateBatch(name string, vs, ws []float64) error {
+	if m := r.get(name); m != nil {
+		if ws != nil && m.backend != quantile.BackendWeighted {
+			return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, name, m.backend)
+		}
+	} else {
+		if err := validateMetricName(name); err != nil {
+			return err
+		}
+		if ws != nil && r.defaultBackend != quantile.BackendWeighted {
+			// Creation here would pick a backend that cannot take weights;
+			// register the metric with the weighted backend first.
+			return fmt.Errorf("%w: metric %q", ErrWeightsUnsupported, name)
+		}
+	}
+	for i, v := range vs {
+		if math.IsNaN(v) {
+			return fmt.Errorf("%w (element %d)", ErrNaN, i)
+		}
+	}
+	if ws == nil {
+		return nil
+	}
 	if len(ws) != len(vs) {
 		return fmt.Errorf("%w: %d values but %d weights", ErrWeightMismatch, len(vs), len(ws))
 	}
@@ -509,191 +550,80 @@ func validateWeights(vs, ws []float64) error {
 	return nil
 }
 
-// IngestWeighted routes one batch of (value, weight) pairs into the metric's
-// all-time summary. The metric must run — or, if created here, the registry
-// default must be — the "weighted" backend; anything else is
-// ErrWeightsUnsupported. The tumbling window ring is bypassed: it summarises
-// unweighted recency and has no way to carry weights. All-or-nothing like
-// Ingest.
-func (r *Registry) IngestWeighted(name string, vs, ws []float64) error {
-	if m := r.get(name); m != nil {
-		if m.backend != quantile.BackendWeighted {
-			return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, name, m.backend)
+// walRecord renders a batch into the metric's WAL record: a weighted batch
+// interleaves [v0, w0, v1, w1, ...] under the reserved weighted prefix; a
+// plain batch keeps the bare name when the metric runs the registry default
+// backend, else a backend-tagged name so replay recreates the metric under
+// the same summary type.
+func (r *Registry) walRecord(m *metric, vs, ws []float64) (string, []float64) {
+	if ws != nil {
+		out := make([]float64, 0, 2*len(vs))
+		for i, v := range vs {
+			out = append(out, v, ws[i])
 		}
-	} else if r.defaultBackend != quantile.BackendWeighted {
-		// Creation here would pick a backend that cannot take weights;
-		// register the metric with the weighted backend first.
-		return fmt.Errorf("%w: metric %q", ErrWeightsUnsupported, name)
+		return weightedWALPrefix + m.name, out
 	}
-	m, err := r.getOrCreateBackend(name, quantile.BackendWeighted)
-	if err != nil {
-		return err
+	if m.backend == r.defaultBackend {
+		return m.name, vs
 	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	if err := validateWeights(vs, ws); err != nil {
-		return err
-	}
-	return m.applyWeighted(vs, ws, false)
+	return backendWALPrefix + string(m.backend) + ":" + m.name, vs
 }
 
-// ValidateIngest checks a batch without mutating anything: the metric name
-// must be acceptable and the values free of NaN. The WAL-backed ingest path
-// runs it before appending to the log, so a batch that can never be applied
-// is never made durable either.
-func (r *Registry) ValidateIngest(name string, vs []float64) error {
-	if m := r.get(name); m == nil {
-		if err := validateMetricName(name); err != nil {
-			return err
-		}
-	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	return nil
-}
-
-// ValidateIngestWeighted is ValidateIngest for weighted batches: the metric
-// must be able to take weights (see IngestWeighted), the values free of NaN,
-// and the weights paired, positive and finite.
-func (r *Registry) ValidateIngestWeighted(name string, vs, ws []float64) error {
-	if m := r.get(name); m != nil {
-		if m.backend != quantile.BackendWeighted {
-			return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, name, m.backend)
-		}
-	} else {
-		if err := validateMetricName(name); err != nil {
-			return err
-		}
-		if r.defaultBackend != quantile.BackendWeighted {
-			return fmt.Errorf("%w: metric %q", ErrWeightsUnsupported, name)
-		}
-	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	return validateWeights(vs, ws)
-}
-
-// walRecordName is the WAL record name for a plain batch into the named
-// metric: the bare name when the metric runs the registry default backend
-// (or does not exist yet), else a backend-tagged name so replay recreates
-// the metric under the same summary type.
-func (r *Registry) walRecordName(name string) string {
-	m := r.get(name)
-	if m == nil || m.backend == r.defaultBackend {
-		return name
-	}
-	return backendWALPrefix + string(m.backend) + ":" + name
-}
-
-// interleaveWeighted renders a weighted batch into the WAL's flat value
-// slice: [v0, w0, v1, w1, ...] under the reserved record-name prefix.
-func interleaveWeighted(vs, ws []float64) []float64 {
-	out := make([]float64, 0, 2*len(vs))
-	for i, v := range vs {
-		out = append(out, v, ws[i])
-	}
-	return out
-}
-
-// resolveReplay decodes one recovered WAL record into its target metric and
-// validated (values, weights) batch: the reserved weighted prefix
-// de-interleaves [v, w, ...] pairs, the backend tag recreates the metric
-// under the summary type it was acknowledged with.
-func (r *Registry) resolveReplay(name string, vs []float64) (*metric, []float64, []float64, error) {
+// EnqueueReplay folds one recovered WAL record into its metric through the
+// async apply pipeline: the reserved weighted prefix de-interleaves
+// [v, w, ...] pairs, and the backend tag recreates the metric under the
+// summary type it was acknowledged with. The record is resolved and
+// validated synchronously (keeping recovery's error fidelity and the
+// single-threaded session dedup ordering) but applied by the worker pool,
+// so replay decode overlaps sketch work across metrics. Replayed values
+// bypass the tumbling window — windows describe "recent" data, which a
+// restart makes stale by definition — and count as replayed rather than
+// ingested. Replay must not drop records, so a full queue always blocks
+// regardless of the shed policy. Callers run drainAll before serving.
+func (r *Registry) EnqueueReplay(name string, vs []float64) error {
+	var ws []float64
+	var m *metric
+	var err error
 	if rest, ok := strings.CutPrefix(name, weightedWALPrefix); ok {
 		if len(vs)%2 != 0 {
-			return nil, nil, nil, fmt.Errorf("%w: odd interleaved length %d replaying %q", ErrWeightMismatch, len(vs), rest)
+			return fmt.Errorf("%w: odd interleaved length %d replaying %q", ErrWeightMismatch, len(vs), rest)
 		}
 		n := len(vs) / 2
 		values := make([]float64, n)
-		weights := make([]float64, n)
+		ws = make([]float64, n)
 		for i := 0; i < n; i++ {
 			values[i] = vs[2*i]
-			weights[i] = vs[2*i+1]
+			ws[i] = vs[2*i+1]
 		}
-		m, err := r.getOrCreateBackend(rest, quantile.BackendWeighted)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		for i, v := range values {
-			if math.IsNaN(v) {
-				return nil, nil, nil, fmt.Errorf("%w (element %d)", ErrNaN, i)
-			}
-		}
-		if err := validateWeights(values, weights); err != nil {
-			return nil, nil, nil, err
-		}
-		return m, values, weights, nil
-	}
-	var m *metric
-	var err error
-	if rest, ok := strings.CutPrefix(name, backendWALPrefix); ok {
+		name, vs = rest, values
+		m, err = r.getOrCreateBackend(name, quantile.BackendWeighted)
+	} else if rest, ok := strings.CutPrefix(name, backendWALPrefix); ok {
 		tag, metricName, found := strings.Cut(rest, ":")
 		if !found {
-			return nil, nil, nil, fmt.Errorf("%w: malformed backend-tagged WAL record %q", ErrInvalidBackend, name)
+			return fmt.Errorf("%w: malformed backend-tagged WAL record %q", ErrInvalidBackend, name)
 		}
 		b, perr := quantile.ParseBackend(tag)
 		if perr != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %v", ErrInvalidBackend, perr)
+			return fmt.Errorf("%w: %v", ErrInvalidBackend, perr)
 		}
-		m, err = r.getOrCreateBackend(metricName, b)
+		name = metricName
+		m, err = r.getOrCreateBackend(name, b)
 	} else {
 		m, err = r.getOrCreate(name)
 	}
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return nil, nil, nil, fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	return m, vs, nil, nil
-}
-
-// ApplyReplay folds one recovered WAL batch into the metric's all-time
-// sketch, synchronously. Unlike Ingest it bypasses the tumbling window —
-// windows describe "recent" data, which a restart makes stale by definition —
-// and counts the values as replayed rather than ingested, so observability
-// can tell recovered history from this process's own traffic.
-func (r *Registry) ApplyReplay(name string, vs []float64) error {
-	m, values, weights, err := r.resolveReplay(name, vs)
-	if err != nil {
 		return err
 	}
-	if weights != nil {
-		return m.applyWeighted(values, weights, true)
-	}
-	return m.applyPlain(values, true)
-}
-
-// EnqueueReplay is ApplyReplay through the async apply pipeline: the record
-// is resolved and validated synchronously (keeping recovery's error fidelity
-// and the single-threaded session dedup ordering) but applied by the worker
-// pool, so replay decode overlaps sketch work across metrics. Replay must
-// not drop records, so a full queue always blocks regardless of the shed
-// policy. Callers run drainAll before serving.
-func (r *Registry) EnqueueReplay(name string, vs []float64) error {
-	m, values, weights, err := r.resolveReplay(name, vs)
-	if err != nil {
+	if err := r.validateBatch(name, vs, ws); err != nil {
 		return err
 	}
-	if len(values) == 0 {
+	if len(vs) == 0 {
 		return nil
 	}
 	if err := m.q.reserve(true); err != nil {
 		return err
 	}
-	m.q.enqueue(m, applyItem{vs: values, ws: weights, replay: true})
+	m.q.enqueue(m, applyItem{vs: vs, ws: ws, replay: true})
 	return nil
 }
 

@@ -131,8 +131,9 @@ type Server struct {
 	wal   *wal.Log
 
 	// gate orders ingest against checkpoint cuts: ingest holds the read
-	// side across WAL-append + sketch-apply, a checkpoint takes the write
-	// side to read the log position and seal the sketches as one cut.
+	// side across WAL append + apply-queue enqueue, a checkpoint takes the
+	// write side to read the log position, drain the queues and seal the
+	// sketches as one cut.
 	gate   sync.RWMutex
 	health health
 
@@ -447,14 +448,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		var ingestErr error
+		var ws []float64
 		if len(sc.req.Weights) > 0 {
-			ingestErr = s.ingestWeightedBatch(sc.req.Metric, sc.req.Values, sc.req.Weights)
-		} else {
-			ingestErr = s.ingestBatch(sc.req.Metric, sc.req.Values)
+			ws = sc.req.Weights
 		}
-		if ingestErr != nil {
-			s.writeIngestError(w, ingestErr)
+		// No pooled buffer: the decode slices are request scratch, so the
+		// apply queue takes its own copy of the batch.
+		if err := s.ingest(sc.req.Metric, sc.req.Values, ws, nil, nil); err != nil {
+			s.writeIngestError(w, err)
 			return
 		}
 		resp.Accepted += int64(len(sc.req.Values))

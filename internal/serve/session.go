@@ -6,17 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// The exactly-once dedup state for binary ingest sessions (MRLB v2). Each
+// The exactly-once dedup state for binary ingest sessions. Each
 // client session id maps to a high-water mark: the highest per-session batch
 // sequence number whose values are already applied. A sequenced batch with
 // seq <= hw is a retry of something the server already counted — it is
 // acknowledged as accepted but not applied again.
 //
 // Correctness of the single high-water mark (instead of a set of seen seqs)
-// rests on a stream discipline enforced in binhandler.go: on a v2 stream any
-// batch that fails is answered with an error ack and the connection is
-// closed, so application within a session is always a contiguous prefix of
-// the client's sequence numbers and "seq <= hw" is exactly "already applied".
+// rests on a stream discipline enforced in binhandler.go: any batch that
+// fails is answered with an error ack and the connection is closed, so
+// application within a session is always a contiguous prefix of the client's
+// sequence numbers and "seq <= hw" is exactly "already applied".
 //
 // The table is bounded: least-recently-used idle sessions are evicted past
 // sessionTableMax. A client that retries a batch after its session was

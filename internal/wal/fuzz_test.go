@@ -35,7 +35,7 @@ func FuzzWALReplay(f *testing.F) {
 				values[j] = float64(i*7 + j)
 			}
 			metric := string(rune('a' + b%3))
-			seq, err := l.Append(metric, values)
+			seq, err := l.AppendPipelined(metric, values)
 			if err != nil {
 				t.Fatalf("append on clean fs: %v", err)
 			}

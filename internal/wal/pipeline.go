@@ -5,10 +5,9 @@ import (
 	"sync"
 )
 
-// The pipelined append path: AppendPipelined enqueues a batch and blocks
-// until a shared committer goroutine has made it durable, so many
-// concurrent producers pay for one fsync per *group* instead of one per
-// batch. While one group's fsync is in flight the next group accumulates —
+// The append path: AppendPipelined enqueues a batch and blocks until a
+// shared committer goroutine has made it durable, so many concurrent
+// producers pay for one fsync per *group* instead of one per batch. While one group's fsync is in flight the next group accumulates —
 // the classic group-commit pipeline — without weakening what an ack means:
 // under SyncEveryBatch a nil return still means "this batch is on stable
 // storage".
@@ -55,19 +54,27 @@ func (l *Log) pipe() *pipeline {
 
 // AppendPipelined logs one batch through the group-commit pipeline and
 // blocks until the batch's fate is known, returning its sequence number.
-// The ack contract is identical to Append under every sync policy — in
-// particular, under SyncEveryBatch a nil error means the batch is fsynced —
-// only the fsync is shared with whatever other batches were in flight at
-// the same time. The values slice is not retained past the call.
+// Under SyncEveryBatch a nil return means the batch is durable — the fsync
+// is merely shared with whatever other batches were in flight at the same
+// time; under the other policies it means the batch is in the OS pipeline.
+// A non-nil return means the batch must NOT be acknowledged: the segment is
+// tainted and the next write starts a fresh one, and the failed frame keeps
+// its (now skipped) sequence number — it may still surface at replay if the
+// kernel flushed it anyway, the usual at-least-once caveat on failed acks,
+// but it can never shadow a later acked frame. The values slice is not
+// retained past the call.
 func (l *Log) AppendPipelined(metric string, values []float64) (uint64, error) {
 	return l.AppendPipelinedSeq(metric, values, 0, 0)
 }
 
-// AppendPipelinedSeq is AppendPipelined for a batch carrying a binary
-// ingest client's (session id, seq) pair; see AppendSeq. The dedup record
-// rides the same group commit as every other in-flight batch — including
-// across a segment rotation, where the committer syncs (and acks) the run
-// that precedes the boundary before the record lands in the fresh segment.
+// AppendPipelinedSeq is AppendPipelined for a batch acknowledged to a
+// sessioned binary ingest client: the record additionally carries the
+// client's (session id, seq) pair, which Replay hands back so recovery can
+// rebuild the dedup high-water marks; sid == 0 writes a plain record. The
+// dedup record rides the same group commit as every other in-flight batch —
+// including across a segment rotation, where the committer syncs (and acks)
+// the run that precedes the boundary before the record lands in the fresh
+// segment.
 func (l *Log) AppendPipelinedSeq(metric string, values []float64, sid, cseq uint64) (uint64, error) {
 	if metric == "" || len(metric) > 1<<16-1 {
 		return 0, fmt.Errorf("wal: metric name length %d outside [1, 65535]", len(metric))

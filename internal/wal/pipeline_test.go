@@ -211,52 +211,6 @@ func TestPipelinedAppendAfterClose(t *testing.T) {
 	}
 }
 
-func TestPipelinedMixedWithPlainAppend(t *testing.T) {
-	fsys := faultfs.NewMem()
-	l, err := Open("/wal", Options{FS: fsys, Sync: SyncEveryBatch, SegmentBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	acked := map[uint64]bool{}
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				var seq uint64
-				var err error
-				if (p+i)%2 == 0 {
-					seq, err = l.Append("m", []float64{float64(p)})
-				} else {
-					seq, err = l.AppendPipelined("m", []float64{float64(p)})
-				}
-				if err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-				mu.Lock()
-				acked[seq] = true
-				mu.Unlock()
-			}
-		}(p)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := collect(t, fsys, "/wal", 0)
-	if len(recs) != 80 {
-		t.Fatalf("replayed %d, want 80", len(recs))
-	}
-	for _, r := range recs {
-		if !acked[r.Seq] {
-			t.Fatalf("replayed un-acked seq %d", r.Seq)
-		}
-	}
-}
-
 // TestPipelinedSessionRecordsStraddleSegments drives sessioned dedup
 // records (sid, cseq) through the group-commit pipeline with a segment cap
 // small enough that the stream rotates every few frames, so records land on

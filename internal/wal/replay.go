@@ -19,7 +19,8 @@ import (
 
 // Record is one replayed batch. Session and SessionSeq are the binary
 // ingest client's (session id, per-session sequence number) pair for
-// records written through AppendSeq; both are zero for plain records.
+// records written through AppendPipelinedSeq; both are zero for plain
+// records.
 // Recovery uses the pair to rebuild dedup high-water marks and to skip a
 // duplicate — the same (Session, SessionSeq) can legitimately appear twice
 // in the log when a failed append's bytes reached the disk anyway and the

@@ -72,7 +72,7 @@ var ErrClosed = errors.New("wal: log closed")
 type SyncPolicy int
 
 const (
-	// SyncEveryBatch fsyncs before Append returns: an acked batch is
+	// SyncEveryBatch fsyncs before AppendPipelined returns: an acked batch is
 	// durable. The default, and the only policy under which the crash
 	// harness's zero-loss invariant holds.
 	SyncEveryBatch SyncPolicy = iota
@@ -292,66 +292,6 @@ func encodeFrame(seq uint64, metric string, values []float64, sid, cseq uint64) 
 	binary.LittleEndian.PutUint32(buf[0:], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(p, castagnoli))
 	return buf
-}
-
-// Append logs one batch and returns its sequence number. Under
-// SyncEveryBatch a nil return means the batch is durable; under the other
-// policies it means the batch is in the OS pipeline. A non-nil return means
-// the batch must NOT be acknowledged: the segment is sealed and a fresh one
-// started, and the failed frame keeps its (now skipped) sequence number —
-// it may still surface at replay if the kernel flushed it anyway, which is
-// the usual at-least-once caveat on failed acks, but it can never shadow a
-// later acked frame.
-func (l *Log) Append(metric string, values []float64) (uint64, error) {
-	return l.AppendSeq(metric, values, 0, 0)
-}
-
-// AppendSeq is Append for a batch acknowledged to a sessioned binary ingest
-// client: the record additionally carries the client's (session id, seq)
-// pair, which Replay hands back so recovery can rebuild the dedup
-// high-water marks. sid == 0 writes a plain record.
-func (l *Log) AppendSeq(metric string, values []float64, sid, cseq uint64) (uint64, error) {
-	if metric == "" || len(metric) > 1<<16-1 {
-		return 0, fmt.Errorf("wal: metric name length %d outside [1, 65535]", len(metric))
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	frame := encodeFrame(l.nextSeq, metric, values, sid, cseq)
-	if len(frame) > maxRecordBytes {
-		return 0, fmt.Errorf("wal: %d-byte record exceeds %d-byte frame cap", len(frame), maxRecordBytes)
-	}
-	if l.f == nil || l.tainted ||
-		(l.curSize > segHeaderLen && l.curSize+int64(len(frame)) > l.opt.SegmentBytes) {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	n, err := l.f.Write(frame)
-	l.curSize += int64(n)
-	if err != nil {
-		// The failed frame consumes its sequence number: its bytes may
-		// still reach the disk behind our back (the kernel flushes dirty
-		// pages on its own schedule), and a later acked frame reusing the
-		// number would be indistinguishable from it at replay.
-		l.tainted = true
-		l.nextSeq++
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if l.opt.Sync == SyncEveryBatch {
-		if err := l.f.Sync(); err != nil {
-			l.tainted = true
-			l.nextSeq++
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	seq := l.nextSeq
-	l.nextSeq++
-	l.curLast = seq
-	l.appended++
-	return seq, nil
 }
 
 // Sync flushes the current segment to stable storage — the periodic call

@@ -46,7 +46,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				seq, err := l.Append("m", batch(i*100, 7))
+				seq, err := l.AppendPipelined("m", batch(i*100, 7))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,13 +54,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 					t.Fatalf("seq %d on append %d", seq, i)
 				}
 			}
-			if _, err := l.Append("other", nil); err != nil {
+			if _, err := l.AppendPipelined("other", nil); err != nil {
 				t.Fatal(err) // empty batches are legal frames
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l.Append("m", batch(0, 1)); !errors.Is(err, ErrClosed) {
+			if _, err := l.AppendPipelined("m", batch(0, 1)); !errors.Is(err, ErrClosed) {
 				t.Fatalf("append after close: %v", err)
 			}
 
@@ -94,7 +94,7 @@ func TestRotationAndOpenResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := l.Append("m", batch(i, 10)); err != nil {
+		if _, err := l.AppendPipelined("m", batch(i, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestRotationAndOpenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l2.Append("m", batch(99, 1))
+	seq, err := l2.AppendPipelined("m", batch(99, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append("m", batch(i, 3)); err != nil {
+		if _, err := l.AppendPipelined("m", batch(i, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestFailedAppendNeverShadowsAckedData(t *testing.T) {
 			}
 			var acked []uint64
 			for i := 0; i < 3; i++ {
-				seq, err := l.Append("m", batch(i, 4))
+				seq, err := l.AppendPipelined("m", batch(i, 4))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,13 +207,13 @@ func TestFailedAppendNeverShadowsAckedData(t *testing.T) {
 			case "sync-failure":
 				mem.FailSyncs(0, 1, nil)
 			}
-			if _, err := l.Append("m", batch(100, 4)); err == nil {
+			if _, err := l.AppendPipelined("m", batch(100, 4)); err == nil {
 				t.Fatal("injected fault did not surface")
 			}
 			failedSeq := uint64(len(acked) + 1) // consumed, never acked
 			// Writability recovers on the next append, in a fresh segment.
 			for i := 0; i < 3; i++ {
-				seq, err := l.Append("m", batch(200+i, 4))
+				seq, err := l.AppendPipelined("m", batch(200+i, 4))
 				if err != nil {
 					t.Fatalf("append after fault: %v", err)
 				}
@@ -264,7 +264,7 @@ func TestPrune(t *testing.T) {
 	}
 	var last uint64
 	for i := 0; i < 30; i++ {
-		seq, err := l.Append("m", batch(i, 4))
+		seq, err := l.AppendPipelined("m", batch(i, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestPrune(t *testing.T) {
 		}
 	}
 	// Pruning everything keeps only the live segment.
-	l.Append("m", batch(0, 1))
+	l.AppendPipelined("m", batch(0, 1))
 	if _, err := l.Prune(l.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := l.Append("m", batch(i, 2)); err != nil {
+		if _, err := l.AppendPipelined("m", batch(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := l2.Append("m", batch(i, 2)); err != nil {
+		if _, err := l2.AppendPipelined("m", batch(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,10 +367,10 @@ func TestAppendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append("", batch(0, 1)); err == nil {
+	if _, err := l.AppendPipelined("", batch(0, 1)); err == nil {
 		t.Error("empty metric name accepted")
 	}
-	if _, err := l.Append(fmt.Sprintf("%065536d", 0), nil); err == nil {
+	if _, err := l.AppendPipelined(fmt.Sprintf("%065536d", 0), nil); err == nil {
 		t.Error("oversized metric name accepted")
 	}
 }
@@ -391,7 +391,7 @@ func TestOpenSeqFloorSurvivesPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := l1.Append("m", batch(i, 2)); err != nil {
+		if _, err := l1.AppendPipelined("m", batch(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +419,7 @@ func TestOpenSeqFloorSurvivesPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l3.Append("m", batch(100, 3))
+	seq, err := l3.AppendPipelined("m", batch(100, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

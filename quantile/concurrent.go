@@ -1,7 +1,6 @@
 package quantile
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -553,51 +552,6 @@ func (c *Concurrent) Stats() IngestStats {
 	return out
 }
 
-// CombineWith answers quantiles over the union of the live shards and the
-// given deterministic sketches — e.g. checkpoints restored with
-// UnmarshalBinary — in one combined Section 4.9 OUTPUT pass, without
-// modifying either side. It returns the estimates parallel to phis, the
-// combined worst-case rank error certified for them, and the total element
-// count the answers cover. Nil extras are skipped; sampled sketches cannot
-// take part (they have no final buffers to combine).
-func (c *Concurrent) CombineWith(extra []*Sketch, phis []float64) (values []float64, errorBound float64, count int64, err error) {
-	if c.backend != BackendMRL {
-		return nil, 0, 0, fmt.Errorf("quantile: CombineWith is MRL-only; this sketch runs %q (use CombineEstimators)", c.backend)
-	}
-	snaps := c.snapshots()
-	for _, s := range extra {
-		if s == nil {
-			continue
-		}
-		if s.smp != nil {
-			return nil, 0, 0, errors.New("quantile: sampled sketches cannot be combined")
-		}
-		snaps = append(snaps, parallel.Snap(s.det))
-	}
-	res, err := parallel.CombineSnapshots(snaps, phis)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return res.Values, res.ErrorBound, res.Count, nil
-}
-
-// BoundWith evaluates the combined worst-case rank error CombineWith would
-// certify, without selecting any quantiles. Nil and sampled extras are
-// skipped.
-func (c *Concurrent) BoundWith(extra []*Sketch) float64 {
-	if c.backend != BackendMRL {
-		return c.ErrorBound()
-	}
-	snaps := c.snapshots()
-	for _, s := range extra {
-		if s == nil || s.det == nil {
-			continue
-		}
-		snaps = append(snaps, parallel.Snap(s.det))
-	}
-	return parallel.CombinedBound(snaps)
-}
-
 // Reset discards all consumed data on every shard, keeping the provisioning.
 // Concurrent writers observe either the old or the fresh state per shard;
 // quiesce writers first if an exact cut matters.
@@ -611,39 +565,6 @@ func (c *Concurrent) Reset() {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// Seal folds every shard into one live sequential Sketch via the absorb
-// path, e.g. to serialise the combined state with MarshalBinary. The
-// Concurrent sketch itself stays usable and unchanged.
-func (c *Concurrent) Seal() (*Sketch, error) {
-	if c.backend != BackendMRL {
-		return nil, fmt.Errorf("quantile: Seal is MRL-only; this sketch runs %q (use SealEstimator)", c.backend)
-	}
-	var out *Sketch
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if sh.sk.Count() == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		clone, err := cloneCore(sh.sk)
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = &Sketch{cfg: Config{B: clone.B(), K: clone.K(), Policy: c.policy}, det: clone}
-			continue
-		}
-		if err := out.det.Absorb(clone); err != nil {
-			return nil, err
-		}
-	}
-	if out == nil {
-		return nil, errors.New("quantile: nothing consumed; nothing to seal")
-	}
-	return out, nil
 }
 
 // cloneCore deep-copies a core sketch through its serialised form.

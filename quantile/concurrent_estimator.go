@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"mrl/internal/parallel"
 )
 
-// This file is the backend-generic side of Concurrent: the methods that
-// work whatever summary the shards run. The MRL-specific fast paths
-// (Section 4.9 combined OUTPUT over snapshots, Seal, CombineWith) live in
-// concurrent.go; everything here reaches shards through the Estimator
-// interface and combines by clone-and-absorb, which every backend's
-// Absorb supports.
+// This file is the estimator surface of Concurrent: the methods that work
+// whatever summary the shards run. MRL shards combine through the Section
+// 4.9 combined OUTPUT over frozen snapshots; every other backend reaches
+// its shards through the Estimator interface and combines by
+// clone-and-absorb, which every backend's Absorb supports.
 
 // Backend returns the summary implementation the shards run.
 func (c *Concurrent) Backend() Backend { return c.backend }
@@ -107,19 +108,69 @@ func (c *Concurrent) combineEstimators(extra []Estimator) (Estimator, error) {
 	return out, nil
 }
 
-// SealEstimator folds every shard into one standalone estimator of the
-// sketch's backend — e.g. to serialise the combined state — leaving the
-// Concurrent sketch usable and unchanged. For MRL backends it is Seal.
-func (c *Concurrent) SealEstimator() (Estimator, error) {
-	if c.backend == BackendMRL {
-		return c.Seal()
+// mrlSnapshots freezes the live MRL shards plus the extras for one
+// combined Section 4.9 OUTPUT pass. Nil extras are skipped. An extra that
+// cannot take part — another estimator type, or a sampled sketch, which
+// has no final buffers to combine — is skipped too, and reported in the
+// returned error.
+func (c *Concurrent) mrlSnapshots(extra []Estimator) ([]parallel.Snapshot, error) {
+	snaps := c.snapshots()
+	var err error
+	for _, e := range extra {
+		s, ok := e.(*Sketch)
+		switch {
+		case e == nil || (ok && s == nil):
+			continue
+		case !ok:
+			err = fmt.Errorf("quantile: cannot combine %T with an MRL sketch", e)
+		case s.smp != nil:
+			err = errors.New("quantile: sampled sketches cannot be combined")
+		default:
+			snaps = append(snaps, parallel.Snap(s.det))
+		}
 	}
-	out, err := c.combineEstimators(nil)
-	if err != nil {
-		return nil, err
+	return snaps, err
+}
+
+var errNothingToSeal = errors.New("quantile: nothing consumed; nothing to seal")
+
+// SealEstimator folds every shard into one standalone estimator of the
+// sketch's backend — e.g. to serialise the combined state with
+// MarshalBinary — leaving the Concurrent sketch usable and unchanged. MRL
+// shards fold into one sequential *Sketch via the absorb path.
+func (c *Concurrent) SealEstimator() (Estimator, error) {
+	if c.backend != BackendMRL {
+		out, err := c.combineEstimators(nil)
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			return nil, errNothingToSeal
+		}
+		return out, nil
+	}
+	var out *Sketch
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		if sh.sk.Count() == 0 {
+			sh.mu.Unlock()
+			continue
+		}
+		clone, err := cloneCore(sh.sk)
+		sh.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = &Sketch{cfg: Config{B: clone.B(), K: clone.K(), Policy: c.policy}, det: clone}
+			continue
+		}
+		if err := out.det.Absorb(clone); err != nil {
+			return nil, err
+		}
 	}
 	if out == nil {
-		return nil, errors.New("quantile: nothing consumed; nothing to seal")
+		return nil, errNothingToSeal
 	}
 	return out, nil
 }
@@ -129,21 +180,19 @@ func (c *Concurrent) SealEstimator() (Estimator, error) {
 // modifying either side, whatever backend the sketch runs. It returns the
 // estimates parallel to phis, the combined a-posteriori rank-error bound,
 // and the total element count the answers cover. Nil and empty extras are
-// skipped; extras must match the sketch's backend.
+// skipped; extras must match the sketch's backend (for MRL, sampled
+// sketches cannot take part: they have no final buffers to combine).
 func (c *Concurrent) CombineEstimators(extra []Estimator, phis []float64) (values []float64, errorBound float64, count int64, err error) {
 	if c.backend == BackendMRL {
-		sketches := make([]*Sketch, 0, len(extra))
-		for _, e := range extra {
-			if e == nil {
-				continue
-			}
-			s, ok := e.(*Sketch)
-			if !ok {
-				return nil, 0, 0, fmt.Errorf("quantile: cannot combine %T with an MRL sketch", e)
-			}
-			sketches = append(sketches, s)
+		snaps, err := c.mrlSnapshots(extra)
+		if err != nil {
+			return nil, 0, 0, err
 		}
-		return c.CombineWith(sketches, phis)
+		res, err := parallel.CombineSnapshots(snaps, phis)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return res.Values, res.ErrorBound, res.Count, nil
 	}
 	combined, err := c.combineEstimators(extra)
 	if err != nil {
@@ -161,16 +210,12 @@ func (c *Concurrent) CombineEstimators(extra []Estimator, phis []float64) (value
 }
 
 // BoundEstimators evaluates the combined a-posteriori rank-error bound
-// CombineEstimators would certify, without selecting any quantiles.
+// CombineEstimators would certify, without selecting any quantiles. Extras
+// that cannot take part are skipped.
 func (c *Concurrent) BoundEstimators(extra []Estimator) float64 {
 	if c.backend == BackendMRL {
-		sketches := make([]*Sketch, 0, len(extra))
-		for _, e := range extra {
-			if s, ok := e.(*Sketch); ok {
-				sketches = append(sketches, s)
-			}
-		}
-		return c.BoundWith(sketches)
+		snaps, _ := c.mrlSnapshots(extra) // the bound covers what can combine
+		return parallel.CombinedBound(snaps)
 	}
 	combined, err := c.combineEstimators(extra)
 	if err != nil || combined == nil {

@@ -448,9 +448,13 @@ func TestConcurrentSeal(t *testing.T) {
 	if err := c.AddBatch(data); err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := c.Seal()
+	est, err := c.SealEstimator()
 	if err != nil {
 		t.Fatal(err)
+	}
+	sealed, ok := est.(*Sketch)
+	if !ok {
+		t.Fatalf("MRL seal produced %T, want a sequential *Sketch", est)
 	}
 	if sealed.Count() != n {
 		t.Fatalf("sealed Count = %d, want %d", sealed.Count(), n)
@@ -478,8 +482,8 @@ func TestConcurrentSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.Seal(); err == nil {
-		t.Error("Seal on empty sketch succeeded")
+	if _, err := empty.SealEstimator(); err == nil {
+		t.Error("SealEstimator on empty sketch succeeded")
 	}
 }
 
@@ -550,6 +554,8 @@ func TestConcurrentShardCountsAndStats(t *testing.T) {
 	}
 }
 
+// TestConcurrentCombineWith combines the live MRL shards with restored
+// sequential sketches through CombineEstimators and BoundEstimators.
 func TestConcurrentCombineWith(t *testing.T) {
 	const n = 40_000
 	data := make([]float64, n)
@@ -582,15 +588,16 @@ func TestConcurrentCombineWith(t *testing.T) {
 	}
 
 	phis := []float64{0.1, 0.5, 0.9}
-	values, bound, count, err := c.CombineWith([]*Sketch{restored, nil}, phis)
+	extras := []Estimator{restored, nil, (*Sketch)(nil)}
+	values, bound, count, err := c.CombineEstimators(extras, phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
 		t.Fatalf("combined count %d, want %d", count, n)
 	}
-	if got := c.BoundWith([]*Sketch{restored, nil}); got != bound {
-		t.Fatalf("BoundWith %v != CombineWith bound %v", got, bound)
+	if got := c.BoundEstimators(extras); got != bound {
+		t.Fatalf("BoundEstimators %v != CombineEstimators bound %v", got, bound)
 	}
 	for i, phi := range phis {
 		target := math.Ceil(phi * n)
@@ -603,16 +610,16 @@ func TestConcurrentCombineWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, nilBound, nilCount, err := c.CombineWith(nil, phis)
+	viaNil, nilBound, nilCount, err := c.CombineEstimators(nil, phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nilCount != c.Count() || nilBound != directBound {
-		t.Fatalf("CombineWith(nil) accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
+		t.Fatalf("CombineEstimators(nil) accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
 	}
 	for i := range direct {
 		if direct[i] != viaNil[i] {
-			t.Fatalf("CombineWith(nil) diverges from QuantilesWithBound at %d", i)
+			t.Fatalf("CombineEstimators(nil) diverges from QuantilesWithBound at %d", i)
 		}
 	}
 	// Sampled sketches cannot take part.
@@ -623,7 +630,10 @@ func TestConcurrentCombineWith(t *testing.T) {
 	if !smp.Sampled() {
 		t.Skip("sampling plan did not trigger; cannot exercise rejection")
 	}
-	if _, _, _, err := c.CombineWith([]*Sketch{smp}, phis); err == nil {
+	if _, _, _, err := c.CombineEstimators([]Estimator{smp}, phis); err == nil {
 		t.Error("sampled extra accepted")
+	}
+	if got := c.BoundEstimators([]Estimator{smp}); got != directBound {
+		t.Errorf("BoundEstimators with a sampled extra = %v, want it skipped (%v)", got, directBound)
 	}
 }
