@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover cover-gate bench bench-json bench-gate profile reproduce examples clean check vet fmtcheck fuzz-smoke crashtest cert-smoke chaos cluster-smoke
+.PHONY: all build test race cover cover-gate bench bench-json bench-gate profile reproduce examples clean check vet fmtcheck fuzz-smoke crashtest cert-smoke chaos cluster-smoke perfbench
 
 all: build test
 
@@ -78,6 +78,14 @@ cert-smoke:
 # answer from the coordinator.
 cluster-smoke:
 	sh scripts/cluster-smoke.sh
+
+# perfbench runs the end-to-end benchmark on the mixed and cluster
+# workloads for its correctness verdict: every served answer is checked
+# against an exact oracle, and any violation or failed operation exits 1.
+# The performance numbers it prints carry no bound here.
+perfbench:
+	bash perfbench/run.sh --workload mixed --seconds 20
+	bash perfbench/run.sh --workload cluster --seconds 20
 
 cover:
 	$(GO) test -cover ./...

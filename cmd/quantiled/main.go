@@ -45,7 +45,6 @@ func main() {
 		binIO      = flag.Duration("bin-io-timeout", 0, "deadline for one binary frame read or ack write once started (0 = 30s default, negative disables)")
 		epsilon    = flag.Float64("epsilon", 0.001, "all-time rank-error tolerance per metric")
 		n          = flag.Int64("n", 50_000_000, "all-time stream capacity the guarantee is sized for, per metric")
-		shards     = flag.Int("shards", 0, "writer shards per metric (0 = one per core)")
 		windows    = flag.Int("windows", 5, "tumbling windows kept per metric (0 disables windowed serving)")
 		perWindow  = flag.Int64("per-window", 1_000_000, "per-window capacity")
 		windowEps  = flag.Float64("window-epsilon", 0, "per-window tolerance (0 = epsilon)")
@@ -82,7 +81,6 @@ func main() {
 	reg, err := serve.NewRegistry(serve.Config{
 		Epsilon:         *epsilon,
 		N:               *n,
-		Shards:          *shards,
 		Windows:         *windows,
 		PerWindow:       *perWindow,
 		WindowEpsilon:   *windowEps,

@@ -86,8 +86,8 @@ func main() {
 	}
 	get(base+"/metricsz", &mz)
 	st := mz.Metrics[0]
-	fmt.Printf("\nmetricsz: %q count=%d shards=%v memory=%d elements collapses=%d rotations=%d\n",
-		st.Name, st.Count, st.ShardCounts, st.MemoryElements, st.Collapses, st.Window.Rotations)
+	fmt.Printf("\nmetricsz: %q count=%d memory=%d elements collapses=%d rotations=%d\n",
+		st.Name, st.Count, st.MemoryElements, st.Collapses, st.Window.Rotations)
 
 	// --- graceful shutdown seals everything into the checkpoint ---
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -98,7 +98,7 @@ func runCluster(sc Scenario, data, phis []float64) (runResult, error) {
 	handlers := make([]http.Handler, nodes)
 	for i := range handlers {
 		reg, err := serve.NewRegistry(serve.Config{
-			Epsilon: epsNode, N: nNode, Shards: 1, Backend: sc.Backend,
+			Epsilon: epsNode, N: nNode, Backend: sc.Backend,
 		})
 		if err != nil {
 			return runResult{}, err

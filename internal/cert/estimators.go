@@ -487,7 +487,7 @@ func do(h http.Handler, method, target string, body []byte) (*memoryResponse, er
 }
 
 // runServe drives the embeddable HTTP serving subsystem through its real
-// handler: the registry provisions a concurrent sketch per metric, ingest
+// handler: the registry provisions one summary per metric, ingest
 // arrives as JSON batches over POST /ingest, and the answer (with its live
 // bound) is read back from GET /quantile.
 func runServe(sc Scenario, data, phis []float64) (runResult, error) {
@@ -504,7 +504,6 @@ func runServe(sc Scenario, data, phis []float64) (runResult, error) {
 	reg, err := serve.NewRegistry(serve.Config{
 		Epsilon: sc.Epsilon,
 		N:       int64(len(data)),
-		Shards:  sc.shardsOrDefault(),
 		Backend: sc.Backend,
 	})
 	if err != nil {

@@ -98,8 +98,7 @@ type Scenario struct {
 	Phis []float64 `json:"phis"`
 	// Seed drives every random choice (shuffles, block orders, sampling).
 	Seed int64 `json:"seed"`
-	// Shards (EstimatorConcurrent / EstimatorServe) is the writer-shard
-	// count; 0 means 4.
+	// Shards (EstimatorConcurrent) is the writer-shard count; 0 means 4.
 	Shards int `json:"shards,omitempty"`
 	// Parts (EstimatorParallel / ModeAssociativity) is the partition
 	// count; 0 means 4.

@@ -229,8 +229,7 @@ func Scenarios(budget Budget, seed int64) ([]Scenario, error) {
 		scs = append(scs, Scenario{
 			Estimator: EstimatorServe,
 			Policy:    "new", Order: order,
-			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis,
-			Shards: 3, Seed: derive(),
+			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis, Seed: derive(),
 		})
 	}
 
@@ -262,8 +261,7 @@ func Scenarios(budget Budget, seed int64) ([]Scenario, error) {
 		scs = append(scs, Scenario{
 			Estimator: EstimatorServe, Backend: backend,
 			Policy: "new", Order: "shuffled",
-			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis,
-			Shards: 3, Seed: derive(),
+			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis, Seed: derive(),
 		})
 		for _, order := range []string{"sorted", "shuffled"} {
 			scs = append(scs, Scenario{
@@ -343,8 +341,7 @@ func Scenarios(budget Budget, seed int64) ([]Scenario, error) {
 		scs = append(scs, Scenario{
 			Estimator: EstimatorServe, Backend: "weighted", WeightProfile: profile,
 			Policy: "new", Order: "shuffled",
-			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis,
-			Shards: 3, Seed: derive(),
+			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis, Seed: derive(),
 		})
 	}
 

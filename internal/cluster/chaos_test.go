@@ -208,7 +208,7 @@ func runClusterChaosLife(t *testing.T, seed int64) {
 	epsNode, nNode, _ := NodeProvision(0.01, int64(total), nNodes)
 	nodes := make([]*chaosNode, nNodes)
 	for i := range nodes {
-		nodes[i] = newChaosNode(t, serve.Config{Epsilon: epsNode, N: nNode, Shards: 2})
+		nodes[i] = newChaosNode(t, serve.Config{Epsilon: epsNode, N: nNode})
 	}
 
 	injector := faultnet.New(faultnet.Options{
@@ -344,7 +344,7 @@ func TestChaosClusterQueryDegraded(t *testing.T) {
 			const total, nNodes = 6000, 3
 			data := clusterPerm(total, seed+1000)
 			epsNode, nNode, _ := NodeProvision(0.01, total, nNodes)
-			nodes, coord, tr := newMemCluster(t, nNodes, serve.Config{Epsilon: epsNode, N: nNode, Shards: 1}, 0.01)
+			nodes, coord, tr := newMemCluster(t, nNodes, serve.Config{Epsilon: epsNode, N: nNode}, 0.01)
 			per := total / nNodes
 			for i, node := range nodes {
 				if err := node.reg.Ingest("lat", data[i*per:(i+1)*per]); err != nil {

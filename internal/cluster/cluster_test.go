@@ -201,7 +201,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			epsNode, nNode, _ := NodeProvision(epsilon, total, nNodes)
 			nodes, coord, _ := newMemCluster(t, nNodes, serve.Config{
-				Epsilon: epsNode, N: nNode, Shards: 2, Backend: backend,
+				Epsilon: epsNode, N: nNode, Backend: backend,
 			}, epsilon)
 			per := total / nNodes
 			for i, node := range nodes {
@@ -210,7 +210,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				}
 			}
 
-			singleReg, err := serve.NewRegistry(serve.Config{Epsilon: epsilon, N: total, Shards: 2, Backend: backend})
+			singleReg, err := serve.NewRegistry(serve.Config{Epsilon: epsilon, N: total, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 // interleaved metrics and checks every metric lands wholly on its owning
 // node and queries answer through the same front end.
 func TestClusterIngestRouting(t *testing.T) {
-	nodes, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000, Shards: 1}, 0.01)
+	nodes, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
 	front := coord.Handler()
 
 	metrics := []string{"api.latency", "db.latency", "queue.depth", "gc.pause"}
@@ -349,7 +349,7 @@ func TestClusterIngestRouting(t *testing.T) {
 // per-node sequence dedup keeps every batch single-counted even though the
 // session's sequence numbers arrive at each node with gaps.
 func TestForwardBinExactlyOnce(t *testing.T) {
-	_, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000, Shards: 1}, 0.01)
+	_, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
 
 	metrics := []string{"m.alpha", "m.beta", "m.gamma", "m.delta"}
 	body := serve.AppendBinPrologueV2(nil)
@@ -396,7 +396,7 @@ func TestQueryPartialDegradation(t *testing.T) {
 	const total, nNodes = 6000, 3
 	data := clusterPerm(total, 5)
 	epsNode, nNode, _ := NodeProvision(0.01, total, nNodes)
-	nodes, coord, tr := newMemCluster(t, nNodes, serve.Config{Epsilon: epsNode, N: nNode, Shards: 1}, 0.01)
+	nodes, coord, tr := newMemCluster(t, nNodes, serve.Config{Epsilon: epsNode, N: nNode}, 0.01)
 	per := total / nNodes
 	for i, node := range nodes {
 		if err := node.reg.Ingest("lat", data[i*per:(i+1)*per]); err != nil {
@@ -454,4 +454,70 @@ func TestQueryPartialDegradation(t *testing.T) {
 	if _, err := coord.Query(context.Background(), "lat", phis); err == nil {
 		t.Fatal("query with every node down must fail")
 	}
+}
+
+// TestClusterReaddressedNodesKeepAnswersWhole pins what re-addressing a
+// node list does: ownership hashes node URLs, so a metric can move to a new
+// owner while its earlier data stays on the former one. The answer stays
+// whole only because every query pulls every node.
+func TestClusterReaddressedNodesKeepAnswersWhole(t *testing.T) {
+	nodes, coord, tr := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
+	metrics := make([]string, 12)
+	for i := range metrics {
+		metrics[i] = fmt.Sprintf("m.%02d", i)
+	}
+	const per = 100
+	ingest := func(c *Coordinator, base float64) {
+		t.Helper()
+		for _, m := range metrics {
+			vs := make([]float64, per)
+			for i := range vs {
+				vs[i] = base + float64(i)
+			}
+			if _, err := c.Ingest(context.Background(), m, "", vs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(coord, 0)
+
+	// The same registries behind new addresses, as a restart on fresh ports
+	// gives them.
+	moved := make([]string, len(nodes))
+	tr.mu.Lock()
+	for i, n := range nodes {
+		host := fmt.Sprintf("node-%d.moved.test", i)
+		tr.handlers[host] = n.srv.Handler()
+		moved[i] = "http://" + host
+	}
+	tr.mu.Unlock()
+	coord2, err := New(Config{Nodes: moved, Epsilon: 0.01, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(coord2, per)
+
+	split := 0
+	for _, m := range metrics {
+		before, after := Owner(coord.Nodes(), m), Owner(coord2.Nodes(), m)
+		if before != after {
+			split++
+			for _, i := range []int{before, after} {
+				if res, err := nodes[i].reg.Quantiles(m, []float64{0.5}, false); err != nil || res.Count != per {
+					t.Fatalf("%q: node %d holds %+v (%v), want one part of %d", m, i, res, err, per)
+				}
+			}
+		}
+		res, err := coord2.Query(context.Background(), m, []float64{0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != 2*per || res.Partial {
+			t.Fatalf("%q after re-addressing: count %d partial %v, want both parts (%d)", m, res.Count, res.Partial, 2*per)
+		}
+	}
+	if split == 0 {
+		t.Fatal("re-addressing moved no metric to a new owner; the test shows nothing")
+	}
+	t.Logf("%d of %d metrics changed owner when the nodes were re-addressed", split, len(metrics))
 }

@@ -1,6 +1,7 @@
 package kll
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -45,25 +46,30 @@ func BenchmarkAdd(b *testing.B) {
 	})
 }
 
+// BenchmarkAddBatch runs at k = 200 and at k = 2000, the k quantiled's
+// default epsilon of 0.001 derives (~2/epsilon), where the compaction sort
+// of a level dominates.
 func BenchmarkAddBatch(b *testing.B) {
-	b.Run("kll/k=200/batch=1024", func(b *testing.B) {
-		s, err := New(200, 1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		batch := make([]float64, 1024)
-		for i := range batch {
-			batch[i] = rng.Float64()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.AddBatch(batch); err != nil {
+	for _, k := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("kll/k=%d/batch=1024", k), func(b *testing.B) {
+			s, err := New(k, 1, 0)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			rng := rand.New(rand.NewSource(3))
+			batch := make([]float64, 1024)
+			for i := range batch {
+				batch[i] = rng.Float64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.AddBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkQuantiles(b *testing.B) {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrEmpty is returned by queries against a sketch that has consumed no
@@ -250,7 +251,7 @@ func (s *Sketch) compactLevel(h int) {
 	if len(items) < 2 {
 		return
 	}
-	insertionSort(items)
+	slices.Sort(items)
 	var retained float64
 	hasRetained := false
 	if len(items)%2 == 1 {
@@ -279,22 +280,6 @@ func (s *Sketch) compactLevel(h int) {
 		s.compactions = append(s.compactions, 0)
 	}
 	s.compactions[h]++
-}
-
-// insertionSort keeps small compactor sorts allocation-free; levels are at
-// most a few hundred items and usually nearly sorted is irrelevant — the
-// simple quadratic sort is fine at these sizes and avoids pulling the
-// stdlib sort's scratch into the hot path.
-func insertionSort(vs []float64) {
-	for i := 1; i < len(vs); i++ {
-		v := vs[i]
-		j := i - 1
-		for j >= 0 && vs[j] > v {
-			vs[j+1] = vs[j]
-			j--
-		}
-		vs[j+1] = v
-	}
 }
 
 // ErrorBound returns the current a-posteriori rank-error bound: the

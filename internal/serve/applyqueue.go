@@ -16,9 +16,8 @@ import (
 // buffers are handed off by refcounted pooled ownership — the float64 view
 // parsed out of a frame is applied without ever being copied; JSON decode
 // scratch is copied once into the queue — and adjacent plain batches on the
-// same metric
-// are coalesced into one multi-slice AddBatches call, amortising shard locks
-// across the backlog.
+// same metric are coalesced into one run applied under one hold of the
+// metric's lock.
 //
 // Correctness invariants:
 //
@@ -34,8 +33,8 @@ import (
 //     encoded sketches contain exactly the batches at or below the recorded
 //     WAL position.
 //   - Order: one queue per metric, one drainer at a time, FIFO — batches
-//     within a metric apply in ack order, which keeps the JSON-vs-binary
-//     bit-identity differential exact at Shards=1.
+//     within a metric apply in ack order to its one summary, which keeps the
+//     JSON-vs-binary bit-identity differential exact.
 //
 // Backpressure is a bounded per-metric queue depth: reservations are taken
 // BEFORE the WAL append, so a shed batch (ErrApplyBacklog) was never made
@@ -229,7 +228,9 @@ func (q *applyQueue) drainTo(m *metric, target uint64) {
 		q.applied += uint64(len(run))
 		if q.head == len(q.items) {
 			// Reset in place, keeping the capacity: a warm queue never
-			// reallocates its backlog slice.
+			// reallocates its backlog slice. Clear first: the applied items
+			// still point at released frame buffers and copied values.
+			clear(q.items)
 			q.items = q.items[:0]
 			q.head = 0
 		}
@@ -274,7 +275,7 @@ type applyPool struct {
 	// Counters for the /metricsz apply block.
 	enqueuedBatches  atomic.Int64
 	appliedBatches   atomic.Int64
-	coalescedBatches atomic.Int64 // batches applied as part of a multi-batch AddBatches run
+	coalescedBatches atomic.Int64 // batches applied as part of a multi-batch coalesced run
 	shedBatches      atomic.Int64
 	blockedEnqueues  atomic.Int64
 	applyErrors      atomic.Int64
@@ -371,10 +372,10 @@ func (p *applyPool) noteError(err error) {
 }
 
 // applyRun applies one FIFO run of batches to the metric, coalescing
-// adjacent plain batches into a single multi-slice AddBatches call (one gen
-// bump, shard locks amortised across the run; element order is preserved, so
-// the result is exactly the sequential application). Buffer references are
-// released as their batches land.
+// adjacent plain batches into one applyCoalesced call (one gen bump, one
+// hold of the metric's lock; element order is preserved, so the result is
+// exactly the sequential application). Buffer references are released as
+// their batches land.
 func (m *metric) applyRun(items []applyItem) {
 	pool := m.q.pool
 	for i := 0; i < len(items); {
@@ -408,6 +409,7 @@ func (m *metric) applyRun(items []applyItem) {
 		if err := m.applyCoalesced(vss, it.replay); err != nil {
 			pool.noteError(err)
 		}
+		clear(vss) // keep the capacity, not the batches' values
 		m.q.runScratch = vss[:0]
 		pool.appliedBatches.Add(int64(j - i))
 		pool.coalescedBatches.Add(int64(j - i))

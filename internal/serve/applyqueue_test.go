@@ -22,7 +22,7 @@ import (
 // applyTestConfig is the shared base: barrier-only draining (no workers) so
 // tests control exactly when queued batches apply.
 func applyTestConfig() Config {
-	return Config{Epsilon: 0.01, N: 1_000_000, Shards: 1, Windows: 3, PerWindow: 4096, ApplyWorkers: -1}
+	return Config{Epsilon: 0.01, N: 1_000_000, Windows: 3, PerWindow: 4096, ApplyWorkers: -1}
 }
 
 // enqueueDirect pushes one plain batch through the metric's apply queue the
@@ -34,6 +34,45 @@ func enqueueDirect(t *testing.T, m *metric, vs []float64) {
 		t.Fatalf("reserve: %v", err)
 	}
 	m.q.enqueue(m, applyItem{vs: append([]float64(nil), vs...)})
+}
+
+// TestDrainReleasesBatchReferences: a drained queue keeps the capacity of
+// its backlog and coalescing scratch but no reference into the batches it
+// applied, so their released frame buffers and copied values can be
+// collected.
+func TestDrainReleasesBatchReferences(t *testing.T) {
+	reg, err := NewRegistry(applyTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	m, err := reg.getOrCreate("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		buf := getFrameBuf(64)
+		if err := m.q.reserve(false); err != nil {
+			t.Fatal(err)
+		}
+		m.q.enqueue(m, applyItem{vs: []float64{float64(i), float64(i + 1)}, buf: buf})
+	}
+	reg.drainAll()
+	m.q.mu.Lock()
+	defer m.q.mu.Unlock()
+	if cap(m.q.items) == 0 || cap(m.q.runScratch) == 0 {
+		t.Fatalf("drain dropped the warm capacity: items %d, scratch %d", cap(m.q.items), cap(m.q.runScratch))
+	}
+	for i, it := range m.q.items[:cap(m.q.items)] {
+		if it.vs != nil || it.ws != nil || it.buf != nil {
+			t.Fatalf("backlog slot %d still references an applied batch", i)
+		}
+	}
+	for i, vs := range m.q.runScratch[:cap(m.q.runScratch)] {
+		if vs != nil {
+			t.Fatalf("coalescing scratch slot %d still references an applied batch", i)
+		}
+	}
 }
 
 // TestAsyncApplyBitIdenticalToSync proves the tentpole's order invariant at
@@ -70,7 +109,7 @@ func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
 		}
 	}
 	// Whole backlog queued, then one drain: applyRun coalesces every batch
-	// into a single multi-slice AddBatches pass.
+	// into a single applyCoalesced call.
 	mc, err := coalesced.getOrCreate("m")
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +339,7 @@ func TestJSONIngestAppliesAsync(t *testing.T) {
 // worker drains, queries, and listings. Run under -race (make race), the
 // point is the detector; the closing accounting check catches lost updates.
 func TestRegistryCreateVsIngestStress(t *testing.T) {
-	cfg := Config{Epsilon: 0.02, N: 100_000, Shards: 1, ApplyWorkers: 2}
+	cfg := Config{Epsilon: 0.02, N: 100_000, ApplyWorkers: 2}
 	reg, err := NewRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +396,7 @@ func TestRegistryCreateVsIngestStress(t *testing.T) {
 
 // TestApplyHandoffZeroAlloc is the satellite allocation gate: the binary
 // ingest handoff — reserve, zero-copy enqueue of a frame-buffer value view,
-// drain through applyPlain into the sharded sketch — allocates nothing per
+// drain through applyPlain into the metric's summary — allocates nothing per
 // batch at steady state. This is what "the decoded batch is never copied
 // between the wire and the sketch" means, enforced.
 func TestApplyHandoffZeroAlloc(t *testing.T) {

@@ -26,7 +26,7 @@ func TestRegistryBackendConfig(t *testing.T) {
 }
 
 func TestEnsureBackendAndMismatch(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestEnsureBackendAndMismatch(t *testing.T) {
 }
 
 func TestIngestWeighted(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestIngestWeighted(t *testing.T) {
 // ingest endpoint serves for backend misuse, so the wire contract cannot
 // drift silently.
 func TestBackendErrorBodies(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBackendErrorBodies(t *testing.T) {
 // restores them into a fresh registry: backends, counts and answers must
 // survive, and the restored baselines must absorb into the next checkpoint.
 func TestCheckpointBackendRoundTrip(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg2, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+	reg2, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 	if err := reg2.WriteCheckpoint(&buf2, 43); err != nil {
 		t.Fatal(err)
 	}
-	reg3, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+	reg3, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 func TestBackendWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() (*Registry, *Server) {
-		reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+		reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 		if err != nil {
 			t.Fatal(err)
 		}

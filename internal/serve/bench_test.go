@@ -16,7 +16,7 @@ import (
 // benchRegistry provisions a small registry suitable for benchmark loops.
 func benchRegistry(b *testing.B) *Registry {
 	b.Helper()
-	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 50_000_000, Shards: 1, Windows: 3, PerWindow: 1_000_000})
+	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 50_000_000, Windows: 3, PerWindow: 1_000_000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func benchServer(b *testing.B) *Server {
 // measurement.
 func benchIngestServer(b *testing.B) *Server {
 	b.Helper()
-	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 50_000_000, Shards: 1})
+	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 50_000_000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func BenchmarkHTTPIngestBinary(b *testing.B) {
 // crashed daemon pays before it serves again.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	mem := faultfs.NewMem()
-	cfg := Config{Epsilon: 0.001, N: 50_000_000, Shards: 1}
+	cfg := Config{Epsilon: 0.001, N: 50_000_000}
 	opts := Options{WALDir: "/wal", WALSync: wal.SyncEveryBatch, WALSegmentBytes: 1 << 20, FS: mem}
 	seedReg, err := NewRegistry(cfg)
 	if err != nil {

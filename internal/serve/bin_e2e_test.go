@@ -108,7 +108,7 @@ func binStreamBody(id uint32, name, backend string, batches [][2][]float64) []by
 // must match byte for byte. The binary path is a transport, not a different
 // estimator.
 func TestBinaryJSONDifferentialBitIdentical(t *testing.T) {
-	cfg := Config{Epsilon: 0.01, N: 100_000, Shards: 1}
+	cfg := Config{Epsilon: 0.01, N: 100_000}
 	data := permutation(6000)
 	for _, backend := range []string{"mrl", "kll", "weighted"} {
 		t.Run(backend, func(t *testing.T) {
@@ -198,7 +198,7 @@ func TestBinaryJSONDifferentialBitIdentical(t *testing.T) {
 // -race), then verifies the count and that every served quantile stays
 // within its certified bound against the exact oracle.
 func TestBinaryTCPMixedProtocolRace(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 200_000, Shards: 4})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestBinaryTCPMixedProtocolRace(t *testing.T) {
 
 // TestBinaryIngestHTTPErrors exercises the HTTP carrier's failure taxonomy.
 func TestBinaryIngestHTTPErrors(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 1})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,11 @@ import (
 // below, so recovery replays only the suffix. The trailing table holds the
 // binary ingest sessions' dedup high-water marks.
 //
-// Each blob is one sealed estimator of the metric's backend in its
-// MarshalBinary wire format, so a checkpoint is just a named bundle of the
-// library's existing serialised summaries. A metric normally carries one
-// blob (the live shards sealed and absorbed with any previously restored
-// baseline); it carries more only when a baseline restored from an older
-// checkpoint cannot be absorbed (an MRL geometry mismatch) — those are kept
-// verbatim and recombined at query time instead.
+// Each blob is an estimator of the metric's backend in its MarshalBinary
+// wire format, so a checkpoint is just a named bundle of the library's
+// existing serialised summaries. The writer emits one blob per non-empty
+// metric (its all-time summary) and none for an empty one; Restore absorbs
+// any further blob of a metric into the first.
 const (
 	ckptMagic   = "MRLD"
 	ckptVersion = 4
@@ -45,40 +43,32 @@ const (
 	ckptMaxBlob = 1 << 30
 )
 
-// checkpointEstimators collapses the metric's durable state into standalone
-// estimators: the live shards sealed into one summary, with every restored
-// baseline absorbed in when possible (kept as separate blobs when not).
-// The live structures are untouched.
-func (m *metric) checkpointEstimators() ([]quantile.Estimator, error) {
-	restored := m.snapshotRestored()
+// snapshot serialises the metric's all-time summary under its lock,
+// leaving it live; an empty summary yields the zero snapshot.
+func (m *metric) snapshot() (quantile.EstimatorSnapshot, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.all.Count() == 0 {
-		return restored, nil
+		return quantile.EstimatorSnapshot{}, nil
 	}
-	sealed, err := m.all.SealEstimator()
+	snap, err := quantile.SnapshotEstimator(m.all)
 	if err != nil {
-		return nil, fmt.Errorf("serve: sealing %q: %w", m.name, err)
+		return quantile.EstimatorSnapshot{}, fmt.Errorf("serve: serialising %q: %w", m.name, err)
 	}
-	out := []quantile.Estimator{sealed}
-	for _, r := range restored {
-		if err := sealed.Absorb(r); err != nil {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return snap, nil
 }
 
-// WriteCheckpoint seals every metric and writes one checkpoint to w,
+// WriteCheckpoint serialises every metric and writes one checkpoint to w,
 // covering WAL position walSeq (0 for registries without a log).
-// Ingestion may continue concurrently; each metric is cut atomically per
-// shard (the usual read-during-write contract of the sketches). Callers
-// that need the cut to be exact against walSeq must stop ingestion around
-// the call — Server does, via its ingest gate.
+// Ingestion may continue concurrently; each metric is cut atomically, one
+// metric at a time. Callers that need the cut to be exact against walSeq
+// must stop ingestion around the call — Server does, via its ingest gate.
 func (r *Registry) WriteCheckpoint(w io.Writer, walSeq uint64) error {
 	// Checkpoint barrier: fold every acked-but-unapplied batch in before
-	// sealing. Under the Server's exclusive ingest gate no new enqueues can
+	// serialising. Under the Server's exclusive ingest gate no new enqueues can
 	// race this, so the encoded sketches contain exactly the batches at or
-	// below walSeq; library callers without a gate get the per-shard-atomic
-	// cut they always had.
+	// below walSeq; library callers without a gate get a per-metric-atomic
+	// cut.
 	r.drainAll()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(ckptMagic); err != nil {
@@ -99,7 +89,7 @@ func (r *Registry) WriteCheckpoint(w io.Writer, walSeq uint64) error {
 		if m == nil {
 			return fmt.Errorf("%w: %q vanished during checkpoint", ErrUnknownMetric, name)
 		}
-		estimators, err := m.checkpointEstimators()
+		snap, err := m.snapshot()
 		if err != nil {
 			return err
 		}
@@ -116,20 +106,20 @@ func (r *Registry) WriteCheckpoint(w io.Writer, walSeq uint64) error {
 		if _, err := bw.WriteString(backend); err != nil {
 			return err
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(estimators))); err != nil {
+		if snap.Count == 0 {
+			if err := binary.Write(bw, binary.LittleEndian, uint32(0)); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(1)); err != nil {
 			return err
 		}
-		for _, s := range estimators {
-			blob, err := s.MarshalBinary()
-			if err != nil {
-				return fmt.Errorf("serve: serialising %q: %w", name, err)
-			}
-			if err := binary.Write(bw, binary.LittleEndian, uint32(len(blob))); err != nil {
-				return err
-			}
-			if _, err := bw.Write(blob); err != nil {
-				return err
-			}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(len(snap.Blob))); err != nil {
+			return err
+		}
+		if _, err := bw.Write(snap.Blob); err != nil {
+			return err
 		}
 	}
 	marks := r.sessions.marks()
@@ -208,14 +198,17 @@ func (r *Registry) SaveCheckpoint(path string) error {
 	return r.SaveCheckpointFS(nil, path, 0)
 }
 
-// Restore reads a checkpoint and installs each metric's sketches as
-// restored baselines: all-time queries combine them with the live shards
-// from then on. It returns the WAL position the checkpoint covers, so the
-// caller can replay only the log suffix. Metrics are created as needed;
-// restoring on top of live data is allowed (the baselines simply add to
-// it). Tumbling windows are deliberately not checkpointed — they describe
-// "recent" data, which a restart makes stale by definition — so restored
-// metrics start with empty rings.
+// Restore reads a checkpoint into the metrics' all-time summaries and
+// returns the WAL position it covers, so the caller can replay only the log
+// suffix. Metrics are created as needed. A metric's first blob becomes its
+// live summary when the metric is empty, whatever its geometry (the
+// a-posteriori bound stays truthful if the contract changed since the
+// checkpoint); any further blob, and a restore on top of live data, is
+// absorbed into it. Blobs that cannot absorb into each other (MRL summaries
+// of different geometries) fail the restore with an error naming the metric
+// and both geometries. Tumbling windows are deliberately not checkpointed —
+// they describe "recent" data, which a restart makes stale by definition —
+// so restored metrics start with empty rings.
 func (r *Registry) Restore(src io.Reader) (uint64, error) {
 	br := bufio.NewReader(src)
 	magic := make([]byte, len(ckptMagic))
@@ -238,17 +231,17 @@ func (r *Registry) Restore(src io.Reader) (uint64, error) {
 		return 0, fmt.Errorf("serve: truncated checkpoint: %w", err)
 	}
 	// Restore in three phases: parse the file and create the metrics
-	// sequentially (error fidelity and creation order unchanged), decode the
-	// sketch blobs concurrently — the CPU-heavy part of a cold start — then
-	// install the baselines in file order, so the result is deterministic
-	// and identical to a fully sequential restore.
+	// sequentially (error fidelity and creation order unchanged), decode
+	// each metric's blobs into one summary concurrently — the CPU-heavy part
+	// of a cold start — then install the summaries in file order, so the
+	// result is deterministic and identical to a fully sequential restore.
 	type restoreMetric struct {
 		name  string
 		m     *metric
 		be    quantile.Backend
 		blobs [][]byte
-		ests  []quantile.Estimator
-		errs  []error
+		est   quantile.Estimator
+		err   error
 	}
 	items := make([]*restoreMetric, 0, nMetrics)
 	for i := uint32(0); i < nMetrics; i++ {
@@ -301,37 +294,25 @@ func (r *Registry) Restore(src io.Reader) (uint64, error) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for _, it := range items {
-		it.ests = make([]quantile.Estimator, len(it.blobs))
-		it.errs = make([]error, len(it.blobs))
-		for j := range it.blobs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(it *restoreMetric, j int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				e, err := quantile.EmptyEstimator(it.be)
-				if err == nil {
-					err = e.UnmarshalBinary(it.blobs[j])
-				}
-				if err != nil {
-					it.errs[j] = err
-					return
-				}
-				it.ests[j] = e
-			}(it, j)
+		if len(it.blobs) == 0 {
+			continue
 		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(it *restoreMetric) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			it.est, it.err = decodeSummary(it.be, it.blobs)
+		}(it)
 	}
 	wg.Wait()
 	for _, it := range items {
-		for _, err := range it.errs {
-			if err != nil {
-				return 0, fmt.Errorf("serve: restoring %q: %w", it.name, err)
-			}
+		if it.err == nil && it.est != nil {
+			it.err = it.m.restore(it.est)
 		}
-		it.m.gen.Add(1) // restored baselines change query answers
-		it.m.resMu.Lock()
-		it.m.restored = append(it.m.restored, it.ests...)
-		it.m.resMu.Unlock()
+		if it.err != nil {
+			return 0, fmt.Errorf("serve: restoring %q: %w", it.name, it.err)
+		}
 	}
 	var nSessions uint32
 	if err := binary.Read(br, binary.LittleEndian, &nSessions); err != nil {
@@ -356,6 +337,42 @@ func (r *Registry) Restore(src io.Reader) (uint64, error) {
 		return 0, errors.New("serve: trailing bytes in checkpoint")
 	}
 	return walSeq, nil
+}
+
+// decodeSummary decodes one metric's checkpoint blobs into one summary: the
+// first blob as decoded, every further one absorbed into it.
+func decodeSummary(b quantile.Backend, blobs [][]byte) (quantile.Estimator, error) {
+	var out quantile.Estimator
+	for _, blob := range blobs {
+		e, err := quantile.EmptyEstimator(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.UnmarshalBinary(blob); err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = e
+		} else if err := out.Absorb(e); err != nil {
+			return nil, fmt.Errorf("checkpoint summaries do not combine: %w", err)
+		}
+	}
+	return out, nil
+}
+
+// restore installs a decoded checkpoint summary: as the live summary when
+// the metric holds nothing yet, else absorbed into it.
+func (m *metric) restore(e quantile.Estimator) error {
+	m.gen.Add(1) // restored data changes query answers
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.all.Count() == 0 {
+		m.all = e
+	} else if err := m.all.Absorb(e); err != nil {
+		return fmt.Errorf("checkpoint summary does not combine with live data: %w", err)
+	}
+	m.restoredCount += e.Count()
+	return nil
 }
 
 // LoadCheckpointFS restores from the file at path through fsys (nil means

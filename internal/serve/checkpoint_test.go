@@ -2,13 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"mrl/internal/core"
+	"mrl/quantile"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -64,8 +69,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointMergesBaselines: checkpointing a registry that itself holds
-// a restored baseline plus live data merges both into a single summary per
-// metric (same geometry), so checkpoints do not grow across restarts.
+// restored data plus live data writes a single summary per metric (none for
+// an empty one), so checkpoints do not grow across restarts.
 func TestCheckpointMergesBaselines(t *testing.T) {
 	cfg := testConfig()
 	gen1, err := NewRegistry(cfg)
@@ -91,9 +96,15 @@ func TestCheckpointMergesBaselines(t *testing.T) {
 	if err := gen2.Ingest("m", data[6000:]); err != nil {
 		t.Fatal(err)
 	}
+	if err := gen2.Ensure("idle"); err != nil {
+		t.Fatal(err)
+	}
 	var second bytes.Buffer
 	if err := gen2.WriteCheckpoint(&second, 0); err != nil {
 		t.Fatal(err)
+	}
+	if got := checkpointBlobCounts(t, second.Bytes()); len(got) != 2 || got["m"] != 1 || got["idle"] != 0 {
+		t.Fatalf("checkpoint blobs per metric %v, want m:1 idle:0", got)
 	}
 
 	gen3, err := NewRegistry(cfg)
@@ -102,13 +113,6 @@ func TestCheckpointMergesBaselines(t *testing.T) {
 	}
 	if _, err := gen3.Restore(bytes.NewReader(second.Bytes())); err != nil {
 		t.Fatal(err)
-	}
-	m := gen3.get("m")
-	if m == nil {
-		t.Fatal("metric missing after restore")
-	}
-	if got := len(m.snapshotRestored()); got != 1 {
-		t.Fatalf("checkpoint carried %d blobs for one metric, want 1 (merged)", got)
 	}
 	res, err := gen3.Quantiles("m", []float64{0.5}, false)
 	if err != nil {
@@ -120,6 +124,158 @@ func TestCheckpointMergesBaselines(t *testing.T) {
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
 	checkWithinBound(t, sorted, []float64{0.5}, res.Values, res.ErrorBound, "merged")
+}
+
+// TestRestoreIntoLiveSummary pins how Restore treats each metric: the first
+// blob becomes the live summary of an empty metric whatever its geometry,
+// further blobs and restores onto live data absorb into it, and blobs that
+// cannot absorb into each other refuse the checkpoint, naming the metric and
+// both geometries.
+func TestRestoreIntoLiveSummary(t *testing.T) {
+	narrow, err := quantile.New(quantile.Config{Epsilon: 0.05, N: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := permutation(6000)
+	if err := narrow.AddBatch(data[:3000]); err != nil {
+		t.Fatal(err)
+	}
+	narrowBlob, err := narrow.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A checkpoint written under another contract is adopted as is.
+	reg, err := NewRegistry(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Restore(bytes.NewReader(encodeTestCheckpoint(t, "m", narrowBlob))); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Ingest("m", data[3000:]); err != nil {
+		t.Fatal(err)
+	}
+	res, err := reg.Quantiles("m", []float64{0.1, 0.5, 0.9}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != int64(len(data)) {
+		t.Fatalf("adopted count %d, want %d", res.Count, len(data))
+	}
+	sorted := append([]float64(nil), data...)
+	sort.Float64s(sorted)
+	checkWithinBound(t, sorted, []float64{0.1, 0.5, 0.9}, res.Values, res.ErrorBound, "adopted")
+
+	// A second restore of the same geometry onto live data absorbs into it.
+	if _, err := reg.Restore(bytes.NewReader(encodeTestCheckpoint(t, "m", narrowBlob))); err != nil {
+		t.Fatal(err)
+	}
+	if st := reg.Status()[0]; st.Count != int64(len(data))+3000 || st.RestoredCount != 6000 {
+		t.Fatalf("after absorbing a second restore: count %d restored %d", st.Count, st.RestoredCount)
+	}
+
+	// Summaries of two geometries cannot absorb into each other: a
+	// checkpoint carrying both for one metric is refused, and so is a
+	// restore of a foreign geometry onto live data.
+	wide, err := quantile.New(quantile.Config{Epsilon: 0.001, N: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.AddBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	wideBlob, err := wide.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRegistry(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fresh.Restore(bytes.NewReader(encodeTestCheckpoint(t, "m", narrowBlob, wideBlob)))
+	if err == nil {
+		t.Fatal("checkpoint with uncombinable blobs restored")
+	}
+	for _, want := range []string{`"m"`, geometry(t, narrowBlob), geometry(t, wideBlob)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %s", err, want)
+		}
+	}
+	if _, err := reg.Restore(bytes.NewReader(encodeTestCheckpoint(t, "m", wideBlob))); err == nil {
+		t.Fatal("foreign geometry absorbed into live data")
+	}
+}
+
+// encodeTestCheckpoint lays out a v4 checkpoint holding one MRL metric with
+// the given blobs, no sessions and WAL position 0.
+func encodeTestCheckpoint(t *testing.T, name string, blobs ...[]byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	b.WriteString(ckptMagic)
+	b.WriteByte(ckptVersion)
+	le := func(v any) {
+		if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	le(uint64(0))
+	le(uint32(1))
+	le(uint16(len(name)))
+	b.WriteString(name)
+	b.WriteByte(byte(len(quantile.BackendMRL)))
+	b.WriteString(string(quantile.BackendMRL))
+	le(uint32(len(blobs)))
+	for _, blob := range blobs {
+		le(uint32(len(blob)))
+		b.Write(blob)
+	}
+	le(uint32(0))
+	return b.Bytes()
+}
+
+// checkpointBlobCounts reads the blob count of every metric in a checkpoint.
+func checkpointBlobCounts(t *testing.T, data []byte) map[string]uint32 {
+	t.Helper()
+	r := bytes.NewReader(data[len(ckptMagic)+1+8:])
+	le := func(v any) {
+		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var metrics uint32
+	le(&metrics)
+	out := make(map[string]uint32)
+	for i := uint32(0); i < metrics; i++ {
+		var nameLen uint16
+		le(&nameLen)
+		name := make([]byte, nameLen)
+		le(name)
+		tagLen, err := r.ReadByte()
+		if err != nil {
+			t.Fatal(err)
+		}
+		le(make([]byte, tagLen))
+		var blobs uint32
+		le(&blobs)
+		out[string(name)] = blobs
+		for j := uint32(0); j < blobs; j++ {
+			var blobLen uint32
+			le(&blobLen)
+			le(make([]byte, blobLen))
+		}
+	}
+	return out
+}
+
+// geometry renders an MRL blob's buffer geometry the way refusals name it.
+func geometry(t *testing.T, blob []byte) string {
+	t.Helper()
+	var sk core.Sketch
+	if err := sk.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("b=%d k=%d", sk.B(), sk.K())
 }
 
 func TestCheckpointCorruptionDetected(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // crashConfig is the small, windowless per-metric contract the crash lives
 // run under; all-time serving is the durable surface under test.
 func crashConfig() Config {
-	return Config{Epsilon: 0.01, N: 100_000, Shards: 2}
+	return Config{Epsilon: 0.01, N: 100_000}
 }
 
 // crashOptions wires a server onto the injectable filesystem with the WAL

@@ -9,7 +9,7 @@ import (
 
 func newCacheTestServer(t *testing.T, opt Options) *Server {
 	t.Helper()
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 1_000_000, Shards: 1, Windows: 3, PerWindow: 100_000})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 1_000_000, Windows: 3, PerWindow: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 // Package serve is the embeddable HTTP quantile-serving subsystem: a
-// named-metric registry pairing a concurrent all-time sketch
-// (quantile.Concurrent) with a tumbling-window ring (window.Ring) per
-// metric, an HTTP API to ingest values and query quantiles with their live
-// Section 4.9 / Lemma 5 error bounds, and a checkpoint/restore path built
-// on the sketch binary wire format. cmd/quantiled wraps it as a standalone
-// daemon; embedders mount Server.Handler() wherever they already serve HTTP.
+// named-metric registry pairing one all-time summary (a quantile.Estimator
+// sized for the registry's contract) with a tumbling-window ring
+// (window.Ring) per metric, an HTTP API to ingest values and query
+// quantiles with their live Lemma 5 error bounds, and a checkpoint/restore
+// path built on the sketch binary wire format. Each metric's apply queue
+// gives it one writer at a time, so one summary per metric, under the
+// metric's lock, is all the concurrency it needs. cmd/quantiled wraps it
+// as a standalone daemon; embedders mount Server.Handler() wherever they
+// already serve HTTP.
 package serve
 
 import (
@@ -79,9 +82,6 @@ type Config struct {
 	// for.
 	N int64
 
-	// Shards is the writer-shard count per metric; 0 means one per core.
-	Shards int
-
 	// Windows is the tumbling-window ring length per metric ("last W
 	// windows"); 0 disables windowed serving entirely.
 	Windows int
@@ -124,22 +124,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metric is one named stream: a concurrent all-time sketch, an optional
-// windowed ring, restored checkpoint baselines, and ingest accounting.
+// metric is one named stream: an all-time summary, an optional windowed
+// ring, and ingest accounting.
 type metric struct {
 	name    string
 	backend quantile.Backend
-	all     *quantile.Concurrent
 
 	ingested atomic.Int64 // values accepted through Ingest
 	batches  atomic.Int64 // Ingest calls that touched this metric
 	replayed atomic.Int64 // values re-applied from the WAL at recovery
 
-	mu   sync.Mutex // guards ring (window.Ring is not concurrency-safe)
+	// mu guards the all-time summary and the window ring together (neither
+	// is concurrency-safe): a batch lands in both under one hold, so every
+	// reader sees whole batches.
+	mu   sync.Mutex
+	all  quantile.Estimator
 	ring *window.Ring
-
-	resMu    sync.RWMutex // guards restored
-	restored []quantile.Estimator
+	// restoredCount is the element count checkpoints restored into all.
+	restoredCount int64
 
 	// gen counts mutations (ingest, replay, rotation, restore). Query-cache
 	// entries are stamped with the generation they were computed under and
@@ -173,7 +175,7 @@ type queryCacheEntry struct {
 const queryCacheMaxEntries = 128
 
 // metricSeed derives a stable per-metric seed for backends that flip coins
-// (KLL compactions), so a restarted process provisions identical shards.
+// (KLL compactions), so a restarted process provisions identical summaries.
 func metricSeed(name string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
@@ -181,13 +183,7 @@ func metricSeed(name string) int64 {
 }
 
 func newMetric(name string, cfg Config, b quantile.Backend) (*metric, error) {
-	all, err := quantile.NewConcurrent(quantile.ConcurrentConfig{
-		Epsilon: cfg.Epsilon,
-		N:       cfg.N,
-		Shards:  cfg.Shards,
-		Backend: b,
-		Seed:    metricSeed(name),
-	})
+	all, err := quantile.NewEstimator(b, quantile.Config{Epsilon: cfg.Epsilon, N: cfg.N, Seed: metricSeed(name)})
 	if err != nil {
 		return nil, fmt.Errorf("serve: metric %q: %w", name, err)
 	}
@@ -384,11 +380,11 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Ingest routes one batch of values into the metric's all-time sketch (via
-// the sharded AddBatch fast path) and its current tumbling window,
-// synchronously. The metric is created on first use. Ingestion is
-// all-or-nothing: a NaN anywhere rejects the whole batch before either
-// structure consumes an element. Empty batches are accepted as no-ops.
+// Ingest routes one batch of values into the metric's all-time summary and
+// its current tumbling window, synchronously. The metric is created on
+// first use. Ingestion is all-or-nothing: a NaN anywhere rejects the whole
+// batch before either structure consumes an element. Empty batches are
+// accepted as no-ops.
 func (r *Registry) Ingest(name string, vs []float64) error {
 	m, err := r.getOrCreate(name)
 	if err != nil {
@@ -412,6 +408,8 @@ func (m *metric) applyPlain(vs []float64, replay bool) error {
 		return nil
 	}
 	m.gen.Add(1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.all.AddBatch(vs); err != nil {
 		return err
 	}
@@ -420,12 +418,9 @@ func (m *metric) applyPlain(vs []float64, replay bool) error {
 		return nil
 	}
 	if m.ring != nil {
-		m.mu.Lock()
 		if err := m.ring.AddBatch(vs); err != nil {
-			m.mu.Unlock()
 			return err
 		}
-		m.mu.Unlock()
 	}
 	m.ingested.Add(int64(len(vs)))
 	return nil
@@ -441,7 +436,13 @@ func (m *metric) applyWeighted(vs, ws []float64, replay bool) error {
 		return nil
 	}
 	m.gen.Add(1)
-	if err := m.all.AddWeightedBatch(vs, ws); err != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w, ok := m.all.(*quantile.Weighted)
+	if !ok {
+		return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, m.name, m.backend)
+	}
+	if err := w.AddWeightedBatch(vs, ws); err != nil {
 		return err
 	}
 	if replay {
@@ -452,11 +453,10 @@ func (m *metric) applyWeighted(vs, ws []float64, replay bool) error {
 	return nil
 }
 
-// applyCoalesced folds a run of adjacent plain batches in one multi-slice
-// AddBatch pass: one generation bump and one walk over the shard locks for
-// the whole run. Element order across the slices is exactly the FIFO order
-// the batches were acked in, so the result is identical to applying them one
-// by one.
+// applyCoalesced folds a run of adjacent plain batches under one hold of
+// the metric's lock and one generation bump. Element order across the
+// slices is exactly the FIFO order the batches were acked in, so the result
+// is identical to applying them one by one.
 func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 	var n int64
 	for _, vs := range vss {
@@ -469,25 +469,26 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 		return nil
 	}
 	m.gen.Add(1)
-	if err := m.all.AddBatches(vss); err != nil {
-		return err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, vs := range vss {
+		if err := m.all.AddBatch(vs); err != nil {
+			return err
+		}
 	}
 	if replay {
 		m.replayed.Add(n)
 		return nil
 	}
 	if m.ring != nil {
-		m.mu.Lock()
 		for _, vs := range vss {
 			if len(vs) == 0 {
 				continue
 			}
 			if err := m.ring.AddBatch(vs); err != nil {
-				m.mu.Unlock()
 				return err
 			}
 		}
-		m.mu.Unlock()
 	}
 	m.ingested.Add(n)
 	return nil
@@ -683,19 +684,18 @@ type QueryResult struct {
 	Values []float64
 	// Count is the number of elements the answers cover.
 	Count int64
-	// ErrorBound is the worst-case rank error of every value, certified by
-	// the combined Lemma 5 accounting for the collapses that actually
-	// happened (all-time: live shards plus restored checkpoints; windowed:
-	// the live windows).
+	// ErrorBound is the worst-case rank error of every value, certified a
+	// posteriori for the summary reductions that actually happened
+	// (all-time: the metric's summary; windowed: the live windows combined).
 	ErrorBound float64
 	// Epsilon is ErrorBound normalised by Count — the epsilon this answer
 	// actually certifies at query time.
 	Epsilon float64
 }
 
-// Quantiles answers phis for the named metric: all-time (live shards plus
-// any restored checkpoint baselines) or, with windowed set, over the union
-// of the live tumbling windows.
+// Quantiles answers phis for the named metric: all-time (everything
+// ingested, restored or replayed) or, with windowed set, over the union of
+// the live tumbling windows.
 func (r *Registry) Quantiles(name string, phis []float64, windowed bool) (QueryResult, error) {
 	m := r.get(name)
 	if m == nil {
@@ -774,18 +774,15 @@ func (r *Registry) CacheStatus() (hits, misses uint64, entries int) {
 	return r.cacheHits.Load(), r.cacheMisses.Load(), entries
 }
 
-func (m *metric) snapshotRestored() []quantile.Estimator {
-	m.resMu.RLock()
-	defer m.resMu.RUnlock()
-	return append([]quantile.Estimator(nil), m.restored...)
-}
-
 func (m *metric) queryAllTime(phis []float64) (QueryResult, error) {
-	values, bound, count, err := m.all.CombineEstimators(m.snapshotRestored(), phis)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	values, err := m.all.Quantiles(phis)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return newQueryResult(values, bound, count), nil
+	bound, _ := m.all.ErrorBound() // served metrics are never sampled
+	return newQueryResult(values, bound, m.all.Count()), nil
 }
 
 func (m *metric) queryWindow(phis []float64) (QueryResult, error) {
@@ -833,8 +830,8 @@ type MetricStatus struct {
 	Backend string `json:"backend"`
 	// Count is the all-time element count, restored checkpoints included.
 	Count int64 `json:"count"`
-	// RestoredCount is the portion of Count carried by restored
-	// checkpoints rather than live shards.
+	// RestoredCount is the element count restored from checkpoints into the
+	// metric's summary in this process's lifetime.
 	RestoredCount int64 `json:"restoredCount"`
 	// IngestedValues and IngestBatches count what arrived through Ingest
 	// in this process's lifetime (restored data excluded).
@@ -843,22 +840,19 @@ type MetricStatus struct {
 	// ReplayedValues counts values re-applied from the write-ahead log at
 	// recovery — acked by a previous process, re-ingested by this one.
 	ReplayedValues int64 `json:"replayedValues"`
-	// Shards and ShardCounts expose writer-shard occupancy.
-	Shards      int     `json:"shards"`
-	ShardCounts []int64 `json:"shardCounts"`
-	// MemoryElements is the total buffer footprint (shards + restored +
+	// MemoryElements is the total buffer footprint (all-time summary +
 	// windows), in elements.
 	MemoryElements int64 `json:"memoryElements"`
-	// Collapses, WeightSum and Fallbacks are the pooled collapse counters
-	// across shards (Figure 5 symbols; fallbacks > 0 means the metric was
-	// driven past its provisioned capacity). MRL-only; zero elsewhere.
+	// Collapses, WeightSum and Fallbacks are the all-time summary's
+	// collapse counters (Figure 5 symbols; fallbacks > 0 means the metric
+	// was driven past its provisioned capacity). MRL-only; zero elsewhere.
 	Collapses int64 `json:"collapses"`
 	WeightSum int64 `json:"weightSum"`
 	Fallbacks int64 `json:"fallbacks"`
 	// Compactions is the backend-neutral summary-reduction counter: MRL
 	// collapses, KLL compactor compactions, weighted COMPRESS passes.
 	Compactions int64 `json:"compactions"`
-	// ErrorBound is the all-time combined rank error certified right now.
+	// ErrorBound is the all-time rank error certified right now.
 	ErrorBound float64 `json:"errorBound"`
 	// PendingApplyBatches is the applied-vs-acked lag: batches acked (and
 	// made durable) but still waiting in the metric's apply queue. Any query
@@ -881,33 +875,27 @@ func (r *Registry) Status() []MetricStatus {
 }
 
 func (m *metric) status() MetricStatus {
-	restored := m.snapshotRestored()
-	var restoredCount, restoredMem int64
-	for _, e := range restored {
-		restoredCount += e.Count()
-		restoredMem += int64(e.EstimatorStats().MemoryElements)
-	}
-	st := m.all.Stats()
 	out := MetricStatus{
 		Name:                m.name,
 		Backend:             string(m.backend),
-		Count:               m.all.Count() + restoredCount,
-		RestoredCount:       restoredCount,
 		IngestedValues:      m.ingested.Load(),
 		IngestBatches:       m.batches.Load(),
 		ReplayedValues:      m.replayed.Load(),
-		Shards:              m.all.Shards(),
-		ShardCounts:         m.all.ShardCounts(),
-		MemoryElements:      int64(m.all.MemoryElements()) + restoredMem,
-		Collapses:           st.Collapses,
-		WeightSum:           st.WeightSum,
-		Fallbacks:           st.Fallbacks,
-		Compactions:         m.all.EstimatorStats().Compactions,
-		ErrorBound:          m.all.BoundEstimators(restored),
 		PendingApplyBatches: m.q.pending(),
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.all.EstimatorStats()
+	out.Count = st.Count
+	out.RestoredCount = m.restoredCount
+	out.MemoryElements = int64(st.MemoryElements)
+	out.Compactions = st.Compactions
+	out.ErrorBound, _ = m.all.ErrorBound()
+	if sk, ok := m.all.(*quantile.Sketch); ok {
+		cs := sk.Stats()
+		out.Collapses, out.WeightSum, out.Fallbacks = cs.Collapses, cs.WeightSum, cs.Fallbacks
+	}
 	if m.ring != nil {
-		m.mu.Lock()
 		out.Window = &WindowStatus{
 			Live:           m.ring.Windows(),
 			Count:          m.ring.Count(),
@@ -916,7 +904,6 @@ func (m *metric) status() MetricStatus {
 			Rotations:      m.ring.Rotations(),
 		}
 		out.MemoryElements += out.Window.MemoryElements
-		m.mu.Unlock()
 	}
 	return out
 }

@@ -11,16 +11,15 @@ import (
 )
 
 func testConfig() Config {
-	return Config{Epsilon: 0.01, N: 100_000, Shards: 2, Windows: 3, PerWindow: 20_000}
+	return Config{Epsilon: 0.01, N: 100_000, Windows: 3, PerWindow: 20_000}
 }
 
 func TestRegistryConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"zero":              {},
-		"bad epsilon":       {Epsilon: 2, N: 1000},
-		"bad n":             {Epsilon: 0.01, N: 0},
-		"window no cap":     {Epsilon: 0.01, N: 1000, Windows: 3},
-		"too tight sharded": {Epsilon: 0.0001, N: 100, Shards: 8},
+		"zero":          {},
+		"bad epsilon":   {Epsilon: 2, N: 1000},
+		"bad n":         {Epsilon: 0.01, N: 0},
+		"window no cap": {Epsilon: 0.01, N: 1000, Windows: 3},
 	} {
 		if _, err := NewRegistry(cfg); err == nil {
 			t.Errorf("%s config accepted: %+v", name, cfg)
@@ -101,7 +100,7 @@ func TestRegistryQuantilesAgreeWithOracle(t *testing.T) {
 }
 
 func TestRegistryQueryErrors(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2}) // no windowing
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000}) // no windowing
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestRegistryQueryErrors(t *testing.T) {
 }
 
 func TestRegistryRotateAllSkipsAndEvicts(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 100_000, Shards: 2, Windows: 2, PerWindow: 10_000})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 100_000, Windows: 2, PerWindow: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

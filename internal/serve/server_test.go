@@ -74,7 +74,7 @@ func TestParsePhis(t *testing.T) {
 // on a server with a deliberately tiny body cap so the 413 path is cheap to
 // reach.
 func TestIngestErrorPaths(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"net/http"
-
-	"mrl/quantile"
 )
 
 // MRLS — the node→coordinator snapshot-transfer format cluster mode speaks.
@@ -174,37 +172,22 @@ func parseSnapshotPart(p []byte) (SnapshotPart, error) {
 	}, nil
 }
 
-// SnapshotParts freezes a metric's complete all-time state — live shards
-// plus any restored checkpoint baselines — as transferable snapshot parts,
-// after the read-your-acks drain barrier every query path runs. An
-// existing metric with no data returns zero parts; an unknown metric
-// returns ErrUnknownMetric, so a coordinator can tell "empty here" from
-// "never heard of it" from "unreachable".
+// SnapshotParts freezes a metric's complete all-time state — one part, its
+// summary — in transferable form, after the read-your-acks drain barrier
+// every query path runs. An existing metric with no data returns zero
+// parts; an unknown metric returns ErrUnknownMetric, so a coordinator can
+// tell "empty here" from "never heard of it" from "unreachable".
 func (r *Registry) SnapshotParts(name string) ([]SnapshotPart, error) {
 	m := r.get(name)
 	if m == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMetric, name)
 	}
 	m.q.drain(m)
-	snaps, err := m.all.EstimatorSnapshots()
-	if err != nil {
+	s, err := m.snapshot()
+	if err != nil || s.Count == 0 {
 		return nil, err
 	}
-	for _, e := range m.snapshotRestored() {
-		if e == nil || e.Count() == 0 {
-			continue
-		}
-		s, err := quantile.SnapshotEstimator(e)
-		if err != nil {
-			return nil, err
-		}
-		snaps = append(snaps, s)
-	}
-	parts := make([]SnapshotPart, len(snaps))
-	for i, s := range snaps {
-		parts[i] = SnapshotPart{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob}
-	}
-	return parts, nil
+	return []SnapshotPart{{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob}}, nil
 }
 
 // handleSnapshot serves GET /snapshot?metric=name: the metric's complete

@@ -10,25 +10,27 @@ import (
 	"mrl/quantile"
 )
 
+// testSnapshotParts snapshots three summaries, each over a third of one
+// stream, as a coordinator collects them from three nodes.
 func testSnapshotParts(t *testing.T) []SnapshotPart {
 	t.Helper()
-	c, err := quantile.NewConcurrent(quantile.ConcurrentConfig{Epsilon: 0.01, N: 10_000, Shards: 3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
 	vs := make([]float64, 2000)
 	for i := range vs {
 		vs[i] = float64((i*7919)%2000 + 1)
 	}
-	if err := c.AddBatch(vs); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := c.EstimatorSnapshots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]SnapshotPart, len(snaps))
-	for i, s := range snaps {
+	parts := make([]SnapshotPart, 3)
+	for i := range parts {
+		e, err := quantile.NewEstimator(quantile.BackendMRL, quantile.Config{Epsilon: 0.01, N: 10_000, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddBatch(vs[i*len(vs)/3 : (i+1)*len(vs)/3]); err != nil {
+			t.Fatal(err)
+		}
+		s, err := quantile.SnapshotEstimator(e)
+		if err != nil {
+			t.Fatal(err)
+		}
 		parts[i] = SnapshotPart{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob}
 	}
 	return parts
@@ -97,7 +99,7 @@ func TestSnapshotDocRejectsCorruption(t *testing.T) {
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

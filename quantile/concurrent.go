@@ -266,72 +266,6 @@ func (c *Concurrent) AddBatch(vs []float64) error {
 	return nil
 }
 
-// AddBatches consumes several batches in one pass — the coalesced entry
-// point for apply pipelines draining a backlog of same-metric batches. The
-// total element count is split into per-shard chunks exactly like one big
-// AddBatch (chunks may span slice boundaries; a chunk applies its slices
-// back to back under one shard lock), so shard locks and routing are
-// amortised over the whole backlog instead of paid per batch. Element order
-// within and across slices is preserved per chunk, and every backend's
-// AddBatch leaves exactly the state an element-by-element loop would, so at
-// one shard the result is bit-identical to calling AddBatch once per slice
-// in order. All-or-nothing: a NaN anywhere rejects every slice untouched.
-func (c *Concurrent) AddBatches(vss [][]float64) error {
-	n := 0
-	for _, vs := range vss {
-		n += len(vs)
-	}
-	if n == 0 {
-		return nil
-	}
-	for si, vs := range vss {
-		for i, v := range vs {
-			if math.IsNaN(v) {
-				return fmt.Errorf("quantile: batch %d element %d: NaN has no rank and cannot be added", si, i)
-			}
-		}
-	}
-	chunks := (n + concurrentMinChunk - 1) / concurrentMinChunk
-	if chunks > len(c.shards) {
-		chunks = len(c.shards)
-	}
-	per := n / chunks
-	extra := n % chunks
-	si, so := 0, 0
-	for i := 0; i < chunks; i++ {
-		sz := per
-		if i < extra {
-			sz++
-		}
-		sh := c.acquire()
-		for rem := sz; rem > 0; {
-			for so == len(vss[si]) {
-				si++
-				so = 0
-			}
-			take := len(vss[si]) - so
-			if take > rem {
-				take = rem
-			}
-			seg := vss[si][so : so+take]
-			var err error
-			if sh.sk != nil {
-				err = sh.sk.AddBatch(seg)
-			} else {
-				err = sh.est.AddBatch(seg)
-			}
-			if err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			so += take
-			rem -= take
-		}
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
 // snapshots freezes every shard in turn, each under its own lock. The cut is
 // per-shard atomic, not global: elements added concurrently with the loop
 // may or may not be included, which is the usual (and only meaningful)
@@ -352,7 +286,7 @@ func (c *Concurrent) snapshots() []parallel.Snapshot {
 // epsilon it certifies).
 func (c *Concurrent) QuantilesWithBound(phis []float64) (values []float64, errorBound float64, err error) {
 	if c.backend != BackendMRL {
-		combined, err := c.combineEstimators(nil)
+		combined, err := c.combineEstimators()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -398,7 +332,7 @@ func (c *Concurrent) Median() (float64, error) { return c.Quantile(0.5) }
 // shards for the collapses that have actually happened.
 func (c *Concurrent) ErrorBound() float64 {
 	if c.backend != BackendMRL {
-		combined, err := c.combineEstimators(nil)
+		combined, err := c.combineEstimators()
 		if err != nil || combined == nil {
 			return 0
 		}

@@ -12,7 +12,7 @@ import (
 
 // TestConcurrentBackends drives KLL and weighted shards through the full
 // Concurrent surface: sharded ingest, combined queries with the backend's
-// own bound, extremes, seal, combine-with-baselines, reset.
+// own bound, extremes, seal, folding a baseline into the seal, reset.
 func TestConcurrentBackends(t *testing.T) {
 	for _, b := range []Backend{BackendKLL, BackendWeighted} {
 		t.Run(string(b), func(t *testing.T) {
@@ -116,7 +116,7 @@ func TestConcurrentBackends(t *testing.T) {
 				}
 			}
 
-			// CombineEstimators folds restored baselines into the answers.
+			// A restored baseline folds into the sealed estimator.
 			baseline, err := NewEstimator(b, Config{Epsilon: 0.01, Seed: 99})
 			if err != nil {
 				t.Fatal(err)
@@ -128,17 +128,18 @@ func TestConcurrentBackends(t *testing.T) {
 			if err := baseline.AddBatch(extraData); err != nil {
 				t.Fatal(err)
 			}
+			if err := sealed.Absorb(baseline); err != nil {
+				t.Fatal(err)
+			}
 			union := append(append([]float64(nil), data...), extraData...)
-			uv, ub, un, err := c.CombineEstimators([]Estimator{nil, baseline}, phis)
+			if sealed.Count() != int64(len(union)) {
+				t.Fatalf("combined count %d want %d", sealed.Count(), len(union))
+			}
+			uv, err := sealed.Quantiles(phis)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if un != int64(len(union)) {
-				t.Fatalf("combined count %d want %d", un, len(union))
-			}
-			if be := c.BoundEstimators([]Estimator{nil, baseline}); be != ub {
-				t.Fatalf("BoundEstimators %v != combined bound %v", be, ub)
-			}
+			ub, _ := sealed.ErrorBound()
 			urep, err := validate.Evaluate(string(b)+"-union", union, phis, uv)
 			if err != nil {
 				t.Fatal(err)
@@ -148,7 +149,7 @@ func TestConcurrentBackends(t *testing.T) {
 					t.Errorf("union phi=%v rank error %d exceeds bound %v", q.Phi, q.RankError, ub)
 				}
 			}
-			// The live sketch must be untouched by the combines.
+			// The live sketch must be untouched by the seal and the fold.
 			if c.Count() != int64(len(data)) {
 				t.Fatalf("combine mutated live sketch: count %d", c.Count())
 			}

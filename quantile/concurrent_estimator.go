@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"mrl/internal/parallel"
 )
 
 // This file is the estimator surface of Concurrent: the methods that work
@@ -64,12 +62,10 @@ func (c *Concurrent) AddWeightedBatch(vs, ws []float64) error {
 	return nil
 }
 
-// combineEstimators folds clones of every non-empty shard — and any extra
-// estimators — into one standalone estimator, leaving all inputs
-// untouched. It returns nil when nothing was consumed. The caller may
-// query or serialise the result freely. Extras must match the sketch's
-// backend (Absorb enforces it).
-func (c *Concurrent) combineEstimators(extra []Estimator) (Estimator, error) {
+// combineEstimators folds clones of every non-empty shard into one
+// standalone estimator, leaving the shards untouched. It returns nil when
+// nothing was consumed. The caller may query or serialise the result freely.
+func (c *Concurrent) combineEstimators() (Estimator, error) {
 	var out Estimator
 	absorb := func(e Estimator) error {
 		clone, err := cloneEstimator(e)
@@ -97,39 +93,7 @@ func (c *Concurrent) combineEstimators(extra []Estimator) (Estimator, error) {
 			return nil, err
 		}
 	}
-	for _, e := range extra {
-		if e == nil || e.Count() == 0 {
-			continue
-		}
-		if err := absorb(e); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
-}
-
-// mrlSnapshots freezes the live MRL shards plus the extras for one
-// combined Section 4.9 OUTPUT pass. Nil extras are skipped. An extra that
-// cannot take part — another estimator type, or a sampled sketch, which
-// has no final buffers to combine — is skipped too, and reported in the
-// returned error.
-func (c *Concurrent) mrlSnapshots(extra []Estimator) ([]parallel.Snapshot, error) {
-	snaps := c.snapshots()
-	var err error
-	for _, e := range extra {
-		s, ok := e.(*Sketch)
-		switch {
-		case e == nil || (ok && s == nil):
-			continue
-		case !ok:
-			err = fmt.Errorf("quantile: cannot combine %T with an MRL sketch", e)
-		case s.smp != nil:
-			err = errors.New("quantile: sampled sketches cannot be combined")
-		default:
-			snaps = append(snaps, parallel.Snap(s.det))
-		}
-	}
-	return snaps, err
 }
 
 var errNothingToSeal = errors.New("quantile: nothing consumed; nothing to seal")
@@ -140,7 +104,7 @@ var errNothingToSeal = errors.New("quantile: nothing consumed; nothing to seal")
 // shards fold into one sequential *Sketch via the absorb path.
 func (c *Concurrent) SealEstimator() (Estimator, error) {
 	if c.backend != BackendMRL {
-		out, err := c.combineEstimators(nil)
+		out, err := c.combineEstimators()
 		if err != nil {
 			return nil, err
 		}
@@ -173,56 +137,6 @@ func (c *Concurrent) SealEstimator() (Estimator, error) {
 		return nil, errNothingToSeal
 	}
 	return out, nil
-}
-
-// CombineEstimators answers quantiles over the union of the live shards
-// and the given estimators — e.g. checkpoint baselines — without
-// modifying either side, whatever backend the sketch runs. It returns the
-// estimates parallel to phis, the combined a-posteriori rank-error bound,
-// and the total element count the answers cover. Nil and empty extras are
-// skipped; extras must match the sketch's backend (for MRL, sampled
-// sketches cannot take part: they have no final buffers to combine).
-func (c *Concurrent) CombineEstimators(extra []Estimator, phis []float64) (values []float64, errorBound float64, count int64, err error) {
-	if c.backend == BackendMRL {
-		snaps, err := c.mrlSnapshots(extra)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := parallel.CombineSnapshots(snaps, phis)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return res.Values, res.ErrorBound, res.Count, nil
-	}
-	combined, err := c.combineEstimators(extra)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if combined == nil {
-		return nil, 0, 0, ErrEmpty
-	}
-	values, err = combined.Quantiles(phis)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	bound, _ := combined.ErrorBound()
-	return values, bound, combined.Count(), nil
-}
-
-// BoundEstimators evaluates the combined a-posteriori rank-error bound
-// CombineEstimators would certify, without selecting any quantiles. Extras
-// that cannot take part are skipped.
-func (c *Concurrent) BoundEstimators(extra []Estimator) float64 {
-	if c.backend == BackendMRL {
-		snaps, _ := c.mrlSnapshots(extra) // the bound covers what can combine
-		return parallel.CombinedBound(snaps)
-	}
-	combined, err := c.combineEstimators(extra)
-	if err != nil || combined == nil {
-		return 0
-	}
-	bound, _ := combined.ErrorBound()
-	return bound
 }
 
 // EstimatorStats returns the pooled backend-neutral maintenance counters

@@ -554,8 +554,9 @@ func TestConcurrentShardCountsAndStats(t *testing.T) {
 	}
 }
 
-// TestConcurrentCombineWith combines the live MRL shards with restored
-// sequential sketches through CombineEstimators and BoundEstimators.
+// TestConcurrentCombineWith combines the live MRL shards with a restored
+// sequential sketch: the shards seal into one sketch and the restored one
+// folds into it.
 func TestConcurrentCombineWith(t *testing.T) {
 	const n = 40_000
 	data := make([]float64, n)
@@ -570,8 +571,13 @@ func TestConcurrentCombineWith(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The second half lives in a restored (serialised+deserialised)
-	// sequential sketch, as the checkpoint path produces.
-	side, err := New(Config{Epsilon: 0.01, N: n})
+	// sequential sketch of the shards' geometry, as a checkpoint holds it.
+	est, err := c.SealEstimator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := est.(*Sketch)
+	side, err := New(Config{B: sealed.det.B(), K: sealed.det.K()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,18 +592,21 @@ func TestConcurrentCombineWith(t *testing.T) {
 	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
+	if err := sealed.Absorb(restored); err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Absorb(nil); err != nil {
+		t.Fatal(err)
+	}
 
 	phis := []float64{0.1, 0.5, 0.9}
-	extras := []Estimator{restored, nil, (*Sketch)(nil)}
-	values, bound, count, err := c.CombineEstimators(extras, phis)
+	values, err := sealed.Quantiles(phis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != n {
-		t.Fatalf("combined count %d, want %d", count, n)
-	}
-	if got := c.BoundEstimators(extras); got != bound {
-		t.Fatalf("BoundEstimators %v != CombineEstimators bound %v", got, bound)
+	bound, _ := sealed.ErrorBound()
+	if sealed.Count() != n {
+		t.Fatalf("combined count %d, want %d", sealed.Count(), n)
 	}
 	for i, phi := range phis {
 		target := math.Ceil(phi * n)
@@ -605,22 +614,13 @@ func TestConcurrentCombineWith(t *testing.T) {
 			t.Errorf("phi=%v: %v off by %v > bound %v", phi, values[i], diff, bound)
 		}
 	}
-	// Without extras it matches the plain combined read path.
+	// The live shards are untouched and keep their own combined read path.
 	direct, directBound, err := c.QuantilesWithBound(phis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, nilBound, nilCount, err := c.CombineEstimators(nil, phis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nilCount != c.Count() || nilBound != directBound {
-		t.Fatalf("CombineEstimators(nil) accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
-	}
-	for i := range direct {
-		if direct[i] != viaNil[i] {
-			t.Fatalf("CombineEstimators(nil) diverges from QuantilesWithBound at %d", i)
-		}
+	if c.Count() != n/2 || directBound != c.ErrorBound() || len(direct) != len(phis) {
+		t.Fatalf("live shards after the combine: count %d, bound %v vs ErrorBound %v", c.Count(), directBound, c.ErrorBound())
 	}
 	// Sampled sketches cannot take part.
 	smp, err := New(Config{Epsilon: 0.05, N: 10_000_000_000, Delta: 1e-4})
@@ -630,10 +630,7 @@ func TestConcurrentCombineWith(t *testing.T) {
 	if !smp.Sampled() {
 		t.Skip("sampling plan did not trigger; cannot exercise rejection")
 	}
-	if _, _, _, err := c.CombineEstimators([]Estimator{smp}, phis); err == nil {
-		t.Error("sampled extra accepted")
-	}
-	if got := c.BoundEstimators([]Estimator{smp}); got != directBound {
-		t.Errorf("BoundEstimators with a sampled extra = %v, want it skipped (%v)", got, directBound)
+	if err := sealed.Absorb(smp); err == nil {
+		t.Error("sampled sketch absorbed")
 	}
 }

@@ -171,6 +171,23 @@ func (s *Sketch) EstimatorStats() EstimatorStats {
 	return out
 }
 
+// Stats returns the sketch's collapse accounting (the paper's Figure 5
+// symbols). Sampled sketches report zeros.
+func (s *Sketch) Stats() IngestStats {
+	if s.det == nil {
+		return IngestStats{}
+	}
+	st := s.det.Stats()
+	return IngestStats{
+		Leaves:            st.Leaves,
+		Collapses:         st.Collapses,
+		WeightSum:         st.WeightSum,
+		MaxCollapseWeight: st.MaxCollapseWeight,
+		Absorbs:           st.Absorbs,
+		Fallbacks:         st.Fallbacks,
+	}
+}
+
 // Absorb folds another MRL estimator into s; it is Merge behind the
 // Estimator interface and rejects foreign backends.
 func (s *Sketch) Absorb(other Estimator) error {

@@ -11,10 +11,10 @@ import (
 // transferable form: the backend tag, the element count the blob covers,
 // and the backend's versioned binary serialisation (the same bytes
 // MarshalBinary/UnmarshalBinary speak). Snapshots are how estimator state
-// leaves a process — a cluster node ships one snapshot per live shard to
-// the coordinator, which restores and combines them without ever absorbing
-// into the originals. Keeping the parts separate matters for MRL: the
-// coordinator's §4.9 combined OUTPUT phase over the flat part list
+// leaves a process — a cluster node ships one snapshot per metric to the
+// coordinator, which restores and combines the nodes' parts without ever
+// absorbing into the originals. Keeping the parts separate matters for
+// MRL: the coordinator's §4.9 combined OUTPUT phase over the flat part list
 // certifies a tighter Lemma 5 bound than merging first would.
 type EstimatorSnapshot struct {
 	// Backend names the summary implementation that produced Blob.
@@ -25,46 +25,9 @@ type EstimatorSnapshot struct {
 	Blob []byte
 }
 
-// EstimatorSnapshots freezes every non-empty shard of the concurrent
-// estimator as a transferable snapshot, leaving the sketch live and
-// unchanged. Each shard is marshalled under its own lock, so concurrent
-// ingestion keeps flowing; the parts together cover every element applied
-// before the call (plus any that race in shard-by-shard, which only makes
-// the transfer fresher). Sampled configurations cannot arise here —
-// NewConcurrent rejects Delta — so every shard serialises cleanly.
-func (c *Concurrent) EstimatorSnapshots() ([]EstimatorSnapshot, error) {
-	snaps := make([]EstimatorSnapshot, 0, len(c.shards))
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		var (
-			count int64
-			blob  []byte
-			err   error
-		)
-		if sh.sk != nil {
-			if count = sh.sk.Count(); count > 0 {
-				blob, err = sh.sk.MarshalBinary()
-			}
-		} else {
-			if count = sh.est.Count(); count > 0 {
-				blob, err = sh.est.MarshalBinary()
-			}
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 {
-			continue
-		}
-		snaps = append(snaps, EstimatorSnapshot{Backend: c.backend, Count: count, Blob: blob})
-	}
-	return snaps, nil
-}
-
-// SnapshotEstimator freezes a standalone estimator — e.g. a restored
-// checkpoint baseline — as a transferable snapshot. Sampled MRL sketches
-// cannot be serialised and are refused.
+// SnapshotEstimator freezes a standalone estimator — e.g. a served metric's
+// summary — as a transferable snapshot. Sampled MRL sketches cannot be
+// serialised and are refused.
 func SnapshotEstimator(e Estimator) (EstimatorSnapshot, error) {
 	var b Backend
 	switch est := e.(type) {

@@ -18,9 +18,11 @@ func snapshotPerm(n int, seed int64) []float64 {
 	return vs
 }
 
-// TestEstimatorSnapshotsRoundTrip: for every backend, combining a
-// Concurrent's exported snapshots must answer exactly what the sketch's own
-// combined read path answers — the transfer is lossless.
+// TestEstimatorSnapshotsRoundTrip: for every backend, a Concurrent sealed
+// into one estimator and exported with SnapshotEstimator loses nothing in
+// transfer — combining the snapshot covers every element the sketch holds
+// within the combined bound, and for the backends that combine by absorbing
+// answers exactly what the sealed estimator answers.
 func TestEstimatorSnapshotsRoundTrip(t *testing.T) {
 	phis := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
 	for _, backend := range []Backend{BackendMRL, BackendKLL, BackendWeighted} {
@@ -32,33 +34,39 @@ func TestEstimatorSnapshotsRoundTrip(t *testing.T) {
 			if err := c.AddBatch(snapshotPerm(5000, 1)); err != nil {
 				t.Fatal(err)
 			}
-			snaps, err := c.EstimatorSnapshots()
+			sealed, err := c.SealEstimator()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(snaps) == 0 {
-				t.Fatal("no snapshots from a populated sketch")
+			snap, err := SnapshotEstimator(sealed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var snapCount int64
-			for _, s := range snaps {
-				if s.Backend != backend {
-					t.Fatalf("snapshot backend = %q, want %q", s.Backend, backend)
+			if snap.Backend != backend || snap.Count != c.Count() {
+				t.Fatalf("snapshot {%q, %d elements}, want {%q, %d}", snap.Backend, snap.Count, backend, c.Count())
+			}
+			gotVals, gotBound, gotCount, err := CombineEstimatorSnapshots([]EstimatorSnapshot{snap}, phis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantVals, err := sealed.Quantiles(phis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBound, _ := sealed.ErrorBound()
+			if gotCount != c.Count() {
+				t.Fatalf("combined count = %d, want %d", gotCount, c.Count())
+			}
+			for i, phi := range phis {
+				if d := math.Abs(gotVals[i] - math.Max(1, math.Ceil(phi*5000))); d > gotBound {
+					t.Fatalf("phi %v: rank error %v exceeds combined bound %v", phi, d, gotBound)
 				}
-				snapCount += s.Count
 			}
-			if snapCount != c.Count() {
-				t.Fatalf("snapshots cover %d elements, sketch has %d", snapCount, c.Count())
-			}
-			gotVals, gotBound, gotCount, err := CombineEstimatorSnapshots(snaps, phis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantVals, wantBound, wantCount, err := c.CombineEstimators(nil, phis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCount != wantCount {
-				t.Fatalf("combined count = %d, want %d", gotCount, wantCount)
+			if backend == BackendMRL {
+				// The §4.9 combined OUTPUT answers from the final buffers
+				// and pooled collapse statistics, not through the sketch's
+				// own query path, so only the oracle check applies.
+				return
 			}
 			if gotBound != wantBound {
 				t.Fatalf("combined bound = %v, want %v", gotBound, wantBound)
@@ -68,30 +76,44 @@ func TestEstimatorSnapshotsRoundTrip(t *testing.T) {
 					t.Fatalf("phi %v: combined value %v, want %v", phis[i], gotVals[i], wantVals[i])
 				}
 			}
+			// Non-MRL shards answer through the same clone-and-absorb fold
+			// SealEstimator runs, so the live read path agrees exactly.
+			liveVals, liveBound, err := c.QuantilesWithBound(phis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if liveBound != wantBound || c.ErrorBound() != wantBound {
+				t.Fatalf("live bounds %v/%v, sealed %v", liveBound, c.ErrorBound(), wantBound)
+			}
+			for i := range phis {
+				if liveVals[i] != wantVals[i] {
+					t.Fatalf("phi %v: live value %v, sealed %v", phis[i], liveVals[i], wantVals[i])
+				}
+			}
 		})
 	}
 }
 
 // TestCombineEstimatorSnapshotsAcrossSketches merges snapshots from two
-// independent Concurrent sketches — the cluster case — and checks the
-// answer covers both populations within the pooled bound.
+// independent sketches — the cluster case, one summary per node — and
+// checks the answer covers both populations within the pooled bound.
 func TestCombineEstimatorSnapshotsAcrossSketches(t *testing.T) {
 	const n, half = 8192, 4096
 	perm := snapshotPerm(n, 2)
 	var snaps []EstimatorSnapshot
 	for node := 0; node < 2; node++ {
-		c, err := NewConcurrent(ConcurrentConfig{Epsilon: 0.005, N: half, Shards: 2, Backend: BackendMRL, Seed: int64(node)})
+		sk, err := New(Config{Epsilon: 0.005, N: half})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AddBatch(perm[node*half : (node+1)*half]); err != nil {
+		if err := sk.AddBatch(perm[node*half : (node+1)*half]); err != nil {
 			t.Fatal(err)
 		}
-		part, err := c.EstimatorSnapshots()
+		part, err := SnapshotEstimator(sk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps = append(snaps, part...)
+		snaps = append(snaps, part)
 	}
 	phis := []float64{0.1, 0.5, 0.99}
 	values, bound, count, err := CombineEstimatorSnapshots(snaps, phis)
@@ -120,18 +142,18 @@ func TestCombineEstimatorSnapshotsErrors(t *testing.T) {
 		t.Fatalf("all-empty combine error = %v, want ErrEmpty", err)
 	}
 	mk := func(backend Backend) EstimatorSnapshot {
-		c, err := NewConcurrent(ConcurrentConfig{Epsilon: 0.01, N: 1000, Shards: 1, Backend: backend})
+		e, err := NewEstimator(backend, Config{Epsilon: 0.01, N: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AddBatch([]float64{1, 2, 3}); err != nil {
+		if err := e.AddBatch([]float64{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-		snaps, err := c.EstimatorSnapshots()
+		snap, err := SnapshotEstimator(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snaps[0]
+		return snap
 	}
 	mixed := []EstimatorSnapshot{mk(BackendMRL), mk(BackendKLL)}
 	if _, _, _, err := CombineEstimatorSnapshots(mixed, []float64{0.5}); err == nil {
@@ -149,7 +171,7 @@ func TestCombineEstimatorSnapshotsErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotEstimatorStandalone covers the restored-baseline path: a
+// TestSnapshotEstimatorStandalone covers the served-metric path: a
 // standalone estimator of every backend snapshots and restores losslessly.
 func TestSnapshotEstimatorStandalone(t *testing.T) {
 	for _, backend := range []Backend{BackendMRL, BackendKLL, BackendWeighted} {
