@@ -73,6 +73,10 @@ func usage() {
 
 var headerRe = regexp.MustCompile(`^(goos|goarch|pkg|cpu): `)
 
+// procsSuffix is the -N that go test appends to a benchmark name when
+// GOMAXPROCS is not 1. Stripping it lets runs at any -cpu match a baseline.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
+
 func parseBench(r io.Reader) (*File, error) {
 	f := &File{}
 	sc := bufio.NewScanner(r)
@@ -94,7 +98,7 @@ func parseBench(r io.Reader) (*File, error) {
 		if err != nil {
 			continue
 		}
-		b := BenchLine{Name: fields[0], Iters: iters}
+		b := BenchLine{Name: procsSuffix.ReplaceAllString(fields[0], ""), Iters: iters}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)

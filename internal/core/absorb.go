@@ -99,7 +99,7 @@ func (s *Sketch) Absorb(other *Sketch) error {
 		s.fill = nil
 	}
 	for len(newBufs) < s.b {
-		newBufs = append(newBufs, newBuffer(s.k))
+		newBufs = append(newBufs, new(buffer))
 	}
 	s.bufs = newBufs
 

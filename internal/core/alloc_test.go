@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -188,5 +189,47 @@ func TestPaddedFillCacheInvalidation(t *testing.T) {
 	}
 	if v, err := s.Quantile(1); err != nil || v != 101 {
 		t.Fatalf("after Absorb: Quantile(1) = %v, %v; want 101", v, err)
+	}
+}
+
+// TestRetainedMemoryFollowsData pins what a sketch keeps between operations:
+// the buffer arrays its data has filled and nothing else. One value retains
+// one k-element array; a sketch driven past capacity retains b*k elements,
+// and Reset keeps them for reuse. COLLAPSE and sort scratch is borrowed per
+// operation, so it never counts.
+func TestRetainedMemoryFollowsData(t *testing.T) {
+	const b, k = 8, 1 << 14
+	const array = k * 8 // bytes in one buffer array
+	retained := func(n int) (int64, *Sketch) {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := mustSketch(t, b, k, PolicyNew)
+		addAll(t, s, benchData(n, 26))
+		// Two cycles empty sync.Pool, so borrowed scratch is gone.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), s
+	}
+
+	heap, s := retained(1)
+	if got := s.HeldElements(); got != k {
+		t.Errorf("one value: HeldElements = %d, want one buffer (%d)", got, k)
+	}
+	if heap >= 2*array {
+		t.Errorf("one value: sketch retains %d bytes, want under two buffer arrays (%d)", heap, 2*array)
+	}
+
+	heap, s = retained(4 * b * k)
+	if got := s.HeldElements(); got != b*k {
+		t.Errorf("past capacity: HeldElements = %d, want b*k = %d", got, b*k)
+	}
+	if heap < b*array || heap >= (b+1)*array {
+		t.Errorf("past capacity: sketch retains %d bytes, want b*k*8 = %d plus bookkeeping", heap, b*array)
+	}
+	s.Reset()
+	if got := s.HeldElements(); got != b*k {
+		t.Errorf("after Reset: HeldElements = %d, want the b*k arrays kept (%d)", got, b*k)
 	}
 }

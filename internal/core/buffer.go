@@ -5,16 +5,13 @@ import "math"
 // buffer is one of the b physical buffers of the framework. While full, its
 // data is sorted ascending and every element stands for weight input
 // elements. A buffer that is neither full nor being filled is empty and its
-// data slice has length zero.
+// data slice has length zero; its array, nil until the buffer first fills,
+// is kept for reuse.
 type buffer struct {
 	data   []float64
 	weight int64
 	level  int
 	full   bool
-}
-
-func newBuffer(k int) *buffer {
-	return &buffer{data: make([]float64, 0, k)}
 }
 
 func (b *buffer) reset() {

@@ -100,7 +100,8 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a sketch serialised by MarshalBinary. The
-// receiver's previous state is discarded.
+// receiver's previous state is discarded. Only the buffers the encoding
+// carries get arrays.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	magic := make([]byte, 4)
@@ -197,9 +198,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("core: buffer weight %d invalid", buf.weight)
 		}
 		buf.level = int(level)
-		buf.data = buf.data[:k32]
-		if err := rd(buf.data); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		if buf.data, err = readFloats(r, k32); err != nil {
+			return err
 		}
 		// Buffers are sorted runs of stream elements: every value must lie
 		// within the recorded extremes and the run must be non-decreasing.
@@ -242,9 +242,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		fill := restored.bufs[fillSlot]
 		fill.level = int(fillLevel)
-		fill.data = fill.data[:fillLen]
-		if err := rd(fill.data); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		// The partial buffer is restored at its own length; startFill grows
+		// it to k when filling resumes.
+		if fill.data, err = readFloats(r, fillLen); err != nil {
+			return err
 		}
 		// The fill buffer is raw arrival order (sorted only on completion),
 		// so only the range invariant applies here.
@@ -263,4 +264,18 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	*s = *restored
 	return nil
+}
+
+// readFloats reads n little-endian float64s, checking that the input holds
+// them before allocating: a header may declare any geometry, so decode
+// allocates what the input carries, not what it claims.
+func readFloats(r *bytes.Reader, n uint32) ([]float64, error) {
+	if int64(r.Len()) < int64(n)*8 {
+		return nil, fmt.Errorf("core: truncated sketch encoding: %d values declared, %d bytes left", n, r.Len())
+	}
+	vs := make([]float64, n)
+	if err := binary.Read(r, binary.LittleEndian, vs); err != nil {
+		return nil, fmt.Errorf("core: truncated sketch encoding: %w", err)
+	}
+	return vs, nil
 }

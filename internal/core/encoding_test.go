@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +132,55 @@ func TestEncodingRejectsGarbage(t *testing.T) {
 		if err := r.UnmarshalBinary(data); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
+	}
+}
+
+// TestUnmarshalAllocatesWhatItReads: decode sizes buffers from the data an
+// encoding carries, not from the geometry its header declares, and restores
+// a partial buffer at its own length until filling resumes.
+func TestUnmarshalAllocatesWhatItReads(t *testing.T) {
+	// 114 bytes declaring b=64, k=65536 and one full buffer whose 512 KiB
+	// of values are missing.
+	var enc bytes.Buffer
+	enc.WriteString(encMagic)
+	enc.WriteByte(byte(PolicyNew))
+	enc.WriteByte(flagEven)
+	for _, v := range []any{
+		uint32(64), uint32(65536), // b, k
+		int64(1), 0.0, 0.0, // count, min, max
+		[7]int64{},                    // stats
+		uint32(1),                     // full buffers
+		uint32(0), int64(1), int32(0), // slot, weight, level; no values
+	} {
+		if err := binary.Write(&enc, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if enc.Len() != 114 {
+		t.Fatalf("encoding is %d bytes, want 114", enc.Len())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := new(Sketch).UnmarshalBinary(enc.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated encoding accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting %d bytes allocated %d bytes, want < 1 MiB", enc.Len(), got)
+	}
+
+	s := mustSketch(t, 4, 64, PolicyNew)
+	addAll(t, s, permutation(64+3, 35)) // one full buffer, three values mid-fill
+	restored := roundTrip(t, s)
+	if got := restored.HeldElements(); got != 64+3 {
+		t.Fatalf("restored HeldElements = %d, want the full buffer plus the 3-value fill (67)", got)
+	}
+	if err := restored.Add(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.HeldElements(); got != 2*64 {
+		t.Fatalf("after resuming the fill HeldElements = %d, want two buffers (128)", got)
 	}
 }
 

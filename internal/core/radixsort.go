@@ -14,17 +14,19 @@ import (
 const radixSortCutoff = 512
 
 // sortFloats sorts data ascending. Large slices take the in-place LSD radix
-// sort below, reusing the sketch-owned scratch so steady-state NEW
+// sort below on scratch borrowed from scratchPool, so steady-state NEW
 // operations allocate nothing; short slices use the stdlib sort. The
 // ordering matches sort.Float64s on everything the sketch admits (NaN is
 // rejected at Add): -Inf < finite < +Inf, with -0 and +0 freely
 // interchangeable as the comparison order cannot tell them apart.
-func (s *Sketch) sortFloats(data []float64) {
+func sortFloats(data []float64) {
 	if len(data) < radixSortCutoff {
 		sort.Float64s(data)
 		return
 	}
-	s.radixKeys, s.radixSwap = radixSortFloat64s(data, s.radixKeys, s.radixSwap)
+	sc := scratchPool.Get().(*scratch)
+	sc.keys, sc.swap = radixSortFloat64s(data, sc.keys, sc.swap)
+	scratchPool.Put(sc)
 }
 
 // floatSortKey maps IEEE-754 bits onto a uint64 whose unsigned order is the

@@ -70,21 +70,15 @@ func TestRadixSortSizes(t *testing.T) {
 	}
 }
 
-// TestSortFloatsScratchReuse checks that consecutive sortFloats calls on a
-// sketch reuse the grown scratch rather than reallocating.
+// TestSortFloatsScratchReuse checks that consecutive sortFloats calls reuse
+// the pooled scratch the first call grew rather than reallocating.
 func TestSortFloatsScratchReuse(t *testing.T) {
-	s, err := NewSketch(5, 1024, PolicyNew)
-	if err != nil {
-		t.Fatal(err)
-	}
+	skipIfAllocsUnreliable(t) // the race detector drops sync.Pool entries at random
 	data := benchData(1024, 11)
-	s.sortFloats(data)
-	if len(s.radixKeys) != 1024 || len(s.radixSwap) != 1024 {
-		t.Fatalf("scratch not grown: keys=%d swap=%d", len(s.radixKeys), len(s.radixSwap))
-	}
+	sortFloats(data)
 	allocs := testing.AllocsPerRun(20, func() {
 		copy(data, benchPermuted)
-		s.sortFloats(data)
+		sortFloats(data)
 	})
 	if allocs != 0 {
 		t.Fatalf("sortFloats allocated %v times per run after warm-up", allocs)

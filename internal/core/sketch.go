@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // ErrEmpty is returned by queries against a sketch that has consumed no
@@ -45,17 +46,11 @@ type Sketch struct {
 	// accounting, which is exactly what the ablation demonstrates.
 	noAlternation bool
 
-	// Scratch space reused across COLLAPSE operations.
-	scratchT []int64
-	scratchV []float64
+	// scratchW holds the COLLAPSE operand views (at most b of them).
 	scratchW []Weighted
 
 	// merge is the selection scratch shared by COLLAPSE and the query path.
 	merge mergeScratch
-
-	// Radix-sort scratch for the NEW operation (see radixsort.go).
-	radixKeys []uint64
-	radixSwap []uint64
 
 	// qry is the OUTPUT scratch; gen is the mutation generation that
 	// invalidates its cached padded copy of the mid-fill buffer.
@@ -82,6 +77,18 @@ type queryScratch struct {
 	sorter tgtSorter
 }
 
+// scratch is the k-element working memory of one COLLAPSE (targets and
+// output) or one radix sort (keys and swap). Operations borrow it from
+// scratchPool and return it when they finish, so a sketch at rest holds
+// only its buffers, and steady-state operations still allocate nothing.
+type scratch struct {
+	targets    []int64
+	out        []float64
+	keys, swap []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // tgtSorter orders the (tgts, idx) pair by target position; it exists so
 // wide phi lists can use the stdlib sort without the per-call closure
 // allocation of sort.Slice.
@@ -98,8 +105,10 @@ func (t *tgtSorter) Swap(i, j int) {
 }
 
 // NewSketch returns a sketch with b buffers of k elements each using the
-// given collapsing policy. The memory footprint is b*k elements plus O(b)
-// bookkeeping. Use internal/params to derive (b, k) from an accuracy target.
+// given collapsing policy. The memory footprint is at most b*k elements plus
+// O(b) bookkeeping: a buffer gets its k-element array the first time it
+// fills, and COLLAPSE and sort scratch is borrowed per operation. Use
+// internal/params to derive (b, k) from an accuracy target.
 func NewSketch(b, k int, policy Policy) (*Sketch, error) {
 	if b < 2 {
 		return nil, fmt.Errorf("core: need at least 2 buffers, got %d", b)
@@ -118,13 +127,11 @@ func NewSketch(b, k int, policy Policy) (*Sketch, error) {
 		runner:   runner,
 		bufs:     make([]*buffer, b),
 		evenHigh: true,
-		scratchT: make([]int64, k),
-		scratchV: make([]float64, k),
 		scratchW: make([]Weighted, 0, b),
 		gen:      1, // nonzero so a zero paddedGen can never look current
 	}
 	for i := range s.bufs {
-		s.bufs[i] = newBuffer(k)
+		s.bufs[i] = new(buffer)
 	}
 	return s, nil
 }
@@ -141,14 +148,24 @@ func (s *Sketch) Policy() Policy { return s.policy }
 // Count returns the number of input elements consumed so far.
 func (s *Sketch) Count() int64 { return s.count }
 
-// MemoryElements returns the buffer footprint b*k in elements.
+// MemoryElements returns the provisioned buffer footprint b*k in elements.
 func (s *Sketch) MemoryElements() int { return s.b * s.k }
+
+// HeldElements returns the buffer elements actually allocated: at most
+// MemoryElements, and one k-element array per buffer the data has filled.
+func (s *Sketch) HeldElements() int {
+	n := 0
+	for _, b := range s.bufs {
+		n += cap(b.data)
+	}
+	return n
+}
 
 // Stats returns a snapshot of the collapse accounting (C, W, leaves, ...).
 func (s *Sketch) Stats() Stats { return s.stats }
 
 // Reset restores the sketch to its freshly constructed state, retaining the
-// allocated buffers.
+// allocated buffer arrays.
 func (s *Sketch) Reset() {
 	for _, b := range s.bufs {
 		b.reset()
@@ -174,7 +191,7 @@ func (s *Sketch) Add(v float64) error {
 		return errNaN
 	}
 	s.gen++
-	if s.fill == nil {
+	if s.fill == nil || cap(s.fill.data) < s.k {
 		s.startFill()
 	}
 	s.fill.data = append(s.fill.data, v)
@@ -208,7 +225,7 @@ func (s *Sketch) AddBatch(vs []float64) error {
 		if math.IsNaN(vs[off]) {
 			return fmt.Errorf("core: element %d: %w", off, errNaN)
 		}
-		if s.fill == nil {
+		if s.fill == nil || cap(s.fill.data) < s.k {
 			s.startFill()
 		}
 		take := s.k - len(s.fill.data)
@@ -245,19 +262,26 @@ func (s *Sketch) AddBatch(vs []float64) error {
 	return nil
 }
 
-// startFill acquires an empty buffer from the policy (collapsing as needed)
-// and readies it to receive input.
+// startFill readies a buffer to receive input. With none mid-fill it
+// acquires an empty buffer from the policy (collapsing as needed). A buffer
+// gets its k-element array here, on its first fill; a partial buffer that
+// UnmarshalBinary restored at its own length grows to k once filling resumes.
 func (s *Sketch) startFill() {
-	s.fill = s.runner.acquire(s)
-	s.fill.data = s.fill.data[:0]
-	s.fill.full = false
-	s.fill.weight = 0
+	if s.fill == nil {
+		s.fill = s.runner.acquire(s)
+		s.fill.data = s.fill.data[:0]
+		s.fill.full = false
+		s.fill.weight = 0
+	}
+	if cap(s.fill.data) < s.k {
+		s.fill.data = append(make([]float64, 0, s.k), s.fill.data...)
+	}
 }
 
 // completeFill seals the buffer currently being filled: the paper's NEW
 // operation ends by sorting the buffer and stamping it weight 1.
 func (s *Sketch) completeFill() {
-	s.sortFloats(s.fill.data)
+	sortFloats(s.fill.data)
 	s.fill.weight = 1
 	s.fill.full = true
 	s.stats.Leaves++
@@ -284,16 +308,18 @@ func (s *Sketch) collapse(inputs []*buffer, level int) *buffer {
 		offset = w / 2
 		s.evenHigh = true
 	}
-	targets := s.scratchT[:s.k]
-	for j := 0; j < s.k; j++ {
-		targets[j] = int64(j)*w + offset
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.targets = growInt64(sc.targets, s.k)
+	for j := range sc.targets {
+		sc.targets[j] = int64(j)*w + offset
 	}
 	views := s.scratchW[:0]
 	for _, in := range inputs {
 		views = append(views, Weighted{Data: in.data, Weight: in.weight})
 	}
-	out := s.scratchV[:s.k]
-	selectInMergeScratch(views, targets, out, &s.merge)
+	sc.out = growFloat64(sc.out, s.k)
+	selectInMergeScratch(views, sc.targets, sc.out, &s.merge)
 
 	s.stats.Collapses++
 	s.stats.WeightSum += w
@@ -303,7 +329,7 @@ func (s *Sketch) collapse(inputs []*buffer, level int) *buffer {
 	}
 
 	dst := inputs[0]
-	dst.data = append(dst.data[:0], out...)
+	dst.data = append(dst.data[:0], sc.out...)
 	dst.weight = w
 	dst.level = level
 	dst.full = true
@@ -520,7 +546,7 @@ func (s *Sketch) paddedFill() int64 {
 	}
 	vals := p[neg : neg+fillLen]
 	copy(vals, s.fill.data)
-	s.sortFloats(vals)
+	sortFloats(vals)
 	for i := neg + fillLen; i < s.k; i++ {
 		p[i] = math.Inf(1)
 	}
@@ -569,7 +595,7 @@ func (s *Sketch) FinalBuffersRaw() ([]Weighted, error) {
 	if s.fill != nil && len(s.fill.data) > 0 {
 		vals := make([]float64, len(s.fill.data))
 		copy(vals, s.fill.data)
-		s.sortFloats(vals)
+		sortFloats(vals)
 		views = append(views, Weighted{Data: vals, Weight: 1})
 	}
 	return views, nil

@@ -27,7 +27,8 @@ type Result struct {
 	// ErrorBound is the worst-case rank error of the combined OUTPUT: the
 	// Lemma 5 telescoping applied to the forest of partition trees hanging
 	// off one virtual root. With P partitions it evaluates to
-	// (W - C + P - 2)/2 + wmax over the pooled collapse statistics.
+	// (W - C + P - 2)/2 + wmax + A/2 over the pooled collapse statistics,
+	// where A counts the absorbs the partitions carry.
 	ErrorBound float64
 	// Workers is the number of partitions processed.
 	Workers int
@@ -138,10 +139,12 @@ func CombineSnapshots(snaps []Snapshot, phis []float64) (Result, error) {
 
 // CombinedBound evaluates the combined Lemma 5 certificate of the snapshots
 // without selecting any quantiles: the telescoping applied to the forest of
-// partition trees hanging off one virtual root, (W - C + P - 2)/2 + wmax
-// over the pooled collapse statistics of the P non-empty snapshots.
+// partition trees hanging off one virtual root, (W - C + P - 2)/2 + wmax +
+// A/2 over the pooled collapse statistics of the P non-empty snapshots. A
+// is their pooled Absorbs, which core.Sketch.ErrorBound charges 1/2 rank
+// each (core.Stats), so a combine never certifies less than its parts do.
 func CombinedBound(snaps []Snapshot) float64 {
-	var sumW, sumC, wmax int64
+	var sumW, sumC, sumA, wmax int64
 	workers := 0
 	for _, sn := range snaps {
 		if sn.Count == 0 {
@@ -149,6 +152,7 @@ func CombinedBound(snaps []Snapshot) float64 {
 		}
 		sumW += sn.Stats.WeightSum
 		sumC += sn.Stats.Collapses
+		sumA += sn.Stats.Absorbs
 		workers++
 		for _, v := range sn.Views {
 			if v.Weight > wmax {
@@ -159,7 +163,7 @@ func CombinedBound(snaps []Snapshot) float64 {
 	if workers == 0 {
 		return 0
 	}
-	bound := float64(sumW-sumC+int64(workers)-2)/2 + float64(wmax)
+	bound := float64(sumW-sumC+int64(workers)-2)/2 + float64(wmax) + float64(sumA)/2
 	if bound < 0 {
 		bound = 0
 	}

@@ -52,6 +52,43 @@ func TestCombineSnapshotsMatchesCombine(t *testing.T) {
 	}
 }
 
+// TestCombinedBoundChargesAbsorbs: a combine never certifies less than its
+// parts certify themselves. A one-part combine of a sketch that absorbed
+// three others must carry the sketch's own Absorbs/2 charge.
+func TestCombinedBoundChargesAbsorbs(t *testing.T) {
+	s, err := core.NewSketch(5, 64, core.PolicyNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddSlice(shuffledData(3000, 14)); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		o, err := core.NewSketch(5, 64, core.PolicyNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.AddSlice(shuffledData(3000, 15+i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Absorb(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	own := s.ErrorBound()
+	snaps := []Snapshot{Snap(s)}
+	if got := CombinedBound(snaps); got < own {
+		t.Fatalf("CombinedBound = %v, below the part's own ErrorBound %v", got, own)
+	}
+	res, err := CombineSnapshots(snaps, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ErrorBound < own {
+		t.Fatalf("CombineSnapshots bound = %v, below the part's own ErrorBound %v", res.ErrorBound, own)
+	}
+}
+
 // TestSnapshotIsFrozen: a snapshot must stay valid and unchanged while the
 // source sketch keeps absorbing input — the property concurrent readers
 // depend on.

@@ -57,6 +57,9 @@ func (s *Sketch) SampleCount() int64 { return s.sketch.Count() }
 // MemoryElements returns the buffer footprint of the inner sketch.
 func (s *Sketch) MemoryElements() int { return s.sketch.MemoryElements() }
 
+// HeldElements returns the buffer elements the inner sketch has allocated.
+func (s *Sketch) HeldElements() int { return s.sketch.HeldElements() }
+
 // Add consumes one raw stream element. When sampling, presenting more
 // elements than the declared population is an error: the selector's
 // uniformity guarantee would silently break.

@@ -816,6 +816,8 @@ type WindowStatus struct {
 	Count int64 `json:"count"`
 	// MemoryElements is the buffer footprint across the ring, in elements.
 	MemoryElements int64 `json:"memoryElements"`
+	// HeldElements is the part of MemoryElements allocated so far.
+	HeldElements int64 `json:"heldElements"`
 	// ErrorBound is the combined rank error the live windows certify now.
 	ErrorBound float64 `json:"errorBound"`
 	// Rotations counts completed window rotations.
@@ -841,8 +843,12 @@ type MetricStatus struct {
 	// recovery — acked by a previous process, re-ingested by this one.
 	ReplayedValues int64 `json:"replayedValues"`
 	// MemoryElements is the total buffer footprint (all-time summary +
-	// windows), in elements.
+	// windows), in elements: b*k per MRL sketch, as provisioned.
 	MemoryElements int64 `json:"memoryElements"`
+	// HeldElements is the part of MemoryElements allocated so far. An MRL
+	// buffer gets its array when data first fills it; for KLL and weighted
+	// summaries it equals their MemoryElements.
+	HeldElements int64 `json:"heldElements"`
 	// Collapses, WeightSum and Fallbacks are the all-time summary's
 	// collapse counters (Figure 5 symbols; fallbacks > 0 means the metric
 	// was driven past its provisioned capacity). MRL-only; zero elsewhere.
@@ -889,6 +895,7 @@ func (m *metric) status() MetricStatus {
 	out.Count = st.Count
 	out.RestoredCount = m.restoredCount
 	out.MemoryElements = int64(st.MemoryElements)
+	out.HeldElements = int64(st.HeldElements)
 	out.Compactions = st.Compactions
 	out.ErrorBound, _ = m.all.ErrorBound()
 	if sk, ok := m.all.(*quantile.Sketch); ok {
@@ -900,10 +907,12 @@ func (m *metric) status() MetricStatus {
 			Live:           m.ring.Windows(),
 			Count:          m.ring.Count(),
 			MemoryElements: m.ring.MemoryElements(),
+			HeldElements:   m.ring.HeldElements(),
 			ErrorBound:     m.ring.Bound(),
 			Rotations:      m.ring.Rotations(),
 		}
 		out.MemoryElements += out.Window.MemoryElements
+		out.HeldElements += out.Window.HeldElements
 	}
 	return out
 }

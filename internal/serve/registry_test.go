@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"mrl/internal/core"
+	"mrl/internal/params"
 	"mrl/quantile"
 )
 
@@ -27,6 +29,40 @@ func TestRegistryConfigValidation(t *testing.T) {
 	}
 	if _, err := NewRegistry(testConfig()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestStatusHeldElements: /metricsz reports the buffer elements a metric
+// has allocated beside its provisioned b*k. A metric holding one value
+// holds one buffer array in each sketch: the all-time summary's and the
+// filling window's.
+func TestStatusHeldElements(t *testing.T) {
+	cfg := testConfig()
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := mustNew(t, reg, Options{})
+	if err := reg.Ingest("m", []float64{42}); err != nil {
+		t.Fatal(err)
+	}
+	all, err := params.Optimize(core.PolicyNew, cfg.Epsilon, cfg.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := params.OptimizeNew(cfg.Epsilon, cfg.PerWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := metricsz(t, srv).Metrics[0]
+	if st.Window == nil || st.Window.HeldElements != int64(win.K) {
+		t.Fatalf("window status %+v, want heldElements of one window buffer (%d)", st.Window, win.K)
+	}
+	if want := int64(all.K + win.K); st.HeldElements != want {
+		t.Fatalf("heldElements = %d, want one buffer per sketch (%d)", st.HeldElements, want)
+	}
+	if want := all.Memory() + win.Memory(); st.MemoryElements != want {
+		t.Fatalf("memoryElements = %d, want the provisioned b*k of both sketches (%d)", st.MemoryElements, want)
 	}
 }
 

@@ -108,6 +108,18 @@ func (r *Ring) MemoryElements() int64 {
 	return total
 }
 
+// HeldElements returns the buffer elements the ring's sketches have
+// allocated. An evicted window is Reset in place and keeps its arrays.
+func (r *Ring) HeldElements() int64 {
+	var total int64
+	for _, w := range r.windows {
+		if w != nil {
+			total += int64(w.HeldElements())
+		}
+	}
+	return total
+}
+
 // Quantiles answers quantiles over the union of all live windows, with the
 // combined Section 4.9 error bound (in ranks over the union's Count).
 func (r *Ring) Quantiles(phis []float64) (values []float64, errorBound float64, err error) {

@@ -86,7 +86,8 @@ func TestConcurrentBackends(t *testing.T) {
 				t.Fatal("no memory accounted")
 			}
 			st := c.EstimatorStats()
-			if st.Backend != b || st.Count != c.Count() {
+			if st.Backend != b || st.Count != c.Count() ||
+				st.HeldElements <= 0 || st.HeldElements > c.MemoryElements() {
 				t.Fatalf("EstimatorStats %+v", st)
 			}
 			if mrlStats := c.Stats(); mrlStats != (IngestStats{}) {

@@ -151,6 +151,7 @@ func (c *Concurrent) EstimatorStats() EstimatorStats {
 			st = EstimatorStats{
 				Count:          sh.sk.Count(),
 				MemoryElements: sh.sk.MemoryElements(),
+				HeldElements:   sh.sk.HeldElements(),
 				Compactions:    cs.Collapses,
 				Absorbs:        cs.Absorbs,
 			}
@@ -160,6 +161,7 @@ func (c *Concurrent) EstimatorStats() EstimatorStats {
 		sh.mu.Unlock()
 		out.Count += st.Count
 		out.MemoryElements += st.MemoryElements
+		out.HeldElements += st.HeldElements
 		out.Compactions += st.Compactions
 		out.Absorbs += st.Absorbs
 	}

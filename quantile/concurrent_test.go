@@ -376,6 +376,13 @@ func TestConcurrentConfigValidation(t *testing.T) {
 	if g.MemoryElements() != 3*4*32 {
 		t.Errorf("MemoryElements = %d, want %d", g.MemoryElements(), 3*4*32)
 	}
+	// ... but a buffer gets its array only when data first fills it.
+	if err := g.Add(1); err != nil {
+		t.Fatal(err)
+	}
+	if held := g.EstimatorStats().HeldElements; held != 32 {
+		t.Errorf("HeldElements after one value = %d, want one buffer (32)", held)
+	}
 }
 
 func TestConcurrentEmpty(t *testing.T) {

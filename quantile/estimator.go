@@ -60,6 +60,11 @@ type EstimatorStats struct {
 	Backend        Backend
 	Count          int64
 	MemoryElements int
+	// HeldElements is the part of MemoryElements actually allocated: an MRL
+	// buffer gets its array the first time data fills it. KLL and weighted
+	// summaries already size to their data, so for them it equals
+	// MemoryElements.
+	HeldElements int
 	// Compactions counts summary-reduction operations: COLLAPSE (MRL),
 	// compactor compactions (KLL), COMPRESS passes (weighted).
 	Compactions int64
@@ -165,8 +170,11 @@ func (s *Sketch) EstimatorStats() EstimatorStats {
 	out := EstimatorStats{Backend: BackendMRL, Count: s.Count(), MemoryElements: s.MemoryElements()}
 	if s.det != nil {
 		st := s.det.Stats()
+		out.HeldElements = s.det.HeldElements()
 		out.Compactions = st.Collapses
 		out.Absorbs = st.Absorbs
+	} else {
+		out.HeldElements = s.smp.HeldElements()
 	}
 	return out
 }
@@ -277,6 +285,7 @@ func (e *KLL) EstimatorStats() EstimatorStats {
 		Backend:        BackendKLL,
 		Count:          e.sk.Count(),
 		MemoryElements: e.sk.MemoryElements(),
+		HeldElements:   e.sk.MemoryElements(),
 		Compactions:    e.sk.Compactions(),
 		Absorbs:        e.sk.Absorbs(),
 	}
@@ -393,6 +402,7 @@ func (e *Weighted) EstimatorStats() EstimatorStats {
 		Backend:        BackendWeighted,
 		Count:          e.sum.Count(),
 		MemoryElements: e.sum.MemoryElements(),
+		HeldElements:   e.sum.MemoryElements(),
 		Compactions:    e.sum.Compressions(),
 		Absorbs:        e.sum.Merges(),
 	}

@@ -106,7 +106,8 @@ func TestEstimatorContract(t *testing.T) {
 				t.Fatalf("count %d", est.Count())
 			}
 			st := est.EstimatorStats()
-			if st.Backend != b || st.Count != est.Count() || st.MemoryElements <= 0 {
+			if st.Backend != b || st.Count != est.Count() || st.MemoryElements <= 0 ||
+				st.HeldElements <= 0 || st.HeldElements > st.MemoryElements {
 				t.Fatalf("stats %+v", st)
 			}
 			bound, ok := est.ErrorBound()
