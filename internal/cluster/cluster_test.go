@@ -344,6 +344,57 @@ func TestClusterIngestRouting(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesWhatANodeRefuses: a client pointed at the
+// coordinator gets a node's 400 for an ingest body that carries nothing and
+// for an unparsable window flag, and a 400 naming ErrWindowUnsupported for
+// a windowed query, which the all-time node snapshots cannot answer.
+func TestCoordinatorRefusesWhatANodeRefuses(t *testing.T) {
+	nodes, coord, _ := newMemCluster(t, 2, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
+	sides := []struct {
+		name string
+		h    http.Handler
+	}{{"node", nodes[0].srv.Handler()}, {"coordinator", coord.Handler()}}
+	do := func(h http.Handler, method, target, body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rr
+	}
+	for _, side := range sides {
+		if rr := do(side.h, http.MethodPost, "/ingest", `{"metric":"lat","values":[1,2,3]}`); rr.Code != http.StatusOK {
+			t.Fatalf("%s: seeding ingest = %d: %s", side.name, rr.Code, rr.Body.String())
+		}
+	}
+
+	noBatches := string(serve.AppendDictFrame(serve.AppendBinPrologueV2(nil), 1, "lat", ""))
+	for _, tc := range []struct{ name, method, target, body string }{
+		{"empty JSON body", http.MethodPost, "/ingest", ""},
+		{"blank JSON body", http.MethodPost, "/ingest", " \n "},
+		{"MRLB body without batch frames", http.MethodPost, "/ingest/bin", noBatches},
+		{"unparsable window", http.MethodGet, "/quantile?metric=lat&phi=0.5&window=maybe", ""},
+	} {
+		for _, side := range sides {
+			if rr := do(side.h, tc.method, tc.target, tc.body); rr.Code != http.StatusBadRequest {
+				t.Errorf("%s through the %s = %d (%s), want 400", tc.name, side.name, rr.Code, strings.TrimSpace(rr.Body.String()))
+			}
+		}
+	}
+
+	front := sides[1].h
+	rr := do(front, http.MethodGet, "/quantile?metric=lat&phi=0.5&window=true", "")
+	var rep struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Code != http.StatusBadRequest || rep.Error != ErrWindowUnsupported.Error() {
+		t.Fatalf("windowed query through the coordinator = %d %q, want 400 %q", rr.Code, rep.Error, ErrWindowUnsupported)
+	}
+	if rr := do(front, http.MethodGet, "/quantile?metric=lat&phi=0.5&window=false", ""); rr.Code != http.StatusOK {
+		t.Fatalf("window=false through the coordinator = %d: %s", rr.Code, rr.Body.String())
+	}
+}
+
 // TestForwardBinExactlyOnce replays a sessioned MRLB body through the
 // coordinator twice — the client retry after a lost reply — and checks the
 // per-node sequence dedup keeps every batch single-counted even though the
@@ -474,7 +525,11 @@ func TestClusterReaddressedNodesKeepAnswersWhole(t *testing.T) {
 			for i := range vs {
 				vs[i] = base + float64(i)
 			}
-			if _, err := c.Ingest(context.Background(), m, "", vs, nil); err != nil {
+			body, err := json.Marshal(map[string]any{"metric": m, "values": vs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.ForwardIngestJSON(context.Background(), body); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -53,6 +53,10 @@ var (
 	// be reached for; the client should retry the whole request (sequence
 	// dedup on the nodes makes the retry exactly-once).
 	ErrNodeFailed = errors.New("cluster: node request failed")
+	// ErrWindowUnsupported refuses a windowed query: node snapshots carry
+	// the all-time summary only, so the coordinator has no window to
+	// answer from. Windowed answers come from the metric's owning node.
+	ErrWindowUnsupported = errors.New("cluster: the coordinator does not serve windowed queries; ask the metric's owning node")
 )
 
 // maxSnapshotBody bounds one node's snapshot document.
@@ -167,11 +171,6 @@ func NodeProvision(epsilon float64, n int64, nodes int) (epsNode float64, nNode 
 		nNode = (n + int64(nodes) - 1) / int64(nodes)
 	}
 	return epsNode, nNode, height
-}
-
-// OwnerOf returns the base URL of the node owning metric.
-func (c *Coordinator) OwnerOf(metric string) string {
-	return c.nodes[Owner(c.nodes, metric)]
 }
 
 // QueryResult is one certified cluster answer.

@@ -151,6 +151,17 @@ func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	if raw := q.Get("window"); raw != "" {
+		windowed, err := strconv.ParseBool(raw)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad window parameter %q", raw))
+			return
+		}
+		if windowed {
+			writeError(w, http.StatusBadRequest, ErrWindowUnsupported)
+			return
+		}
+	}
 	metric := q.Get("metric")
 	res, err := c.Query(r.Context(), metric, phis)
 	if err != nil {

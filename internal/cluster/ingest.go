@@ -17,30 +17,16 @@ type IngestResult struct {
 	Batches  int
 }
 
-// Ingest routes one named batch to its owning node over the JSON ingest
-// API. Backend (optional) and weights pass through untouched.
-func (c *Coordinator) Ingest(ctx context.Context, metric, backend string, values, weights []float64) (IngestResult, error) {
-	body, err := json.Marshal(struct {
-		Metric  string    `json:"metric"`
-		Backend string    `json:"backend,omitempty"`
-		Values  []float64 `json:"values"`
-		Weights []float64 `json:"weights,omitempty"`
-	}{Metric: metric, Backend: backend, Values: values, Weights: weights})
-	if err != nil {
-		return IngestResult{}, err
-	}
-	accepted, batches, err := c.postNode(ctx, c.OwnerOf(metric), "/ingest", "application/json", body)
-	return IngestResult{Accepted: accepted, Batches: batches}, err
-}
-
 // ForwardIngestJSON splits a POST /ingest body — one JSON object or any
 // concatenation of them — by owning node and forwards each group in one
 // request, preserving per-metric object order. Any node failure fails the
 // whole request; JSON ingest is idempotence-free either way, so the retry
-// story is unchanged from a single node's.
+// story is unchanged from a single node's. A body with no objects is
+// refused, as a node refuses it.
 func (c *Coordinator) ForwardIngestJSON(ctx context.Context, body []byte) (IngestResult, error) {
 	groups := make([][]byte, len(c.nodes))
 	dec := json.NewDecoder(bytes.NewReader(body))
+	objects := 0
 	for {
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
@@ -58,6 +44,10 @@ func (c *Coordinator) ForwardIngestJSON(ctx context.Context, body []byte) (Inges
 		owner := Owner(c.nodes, peek.Metric)
 		groups[owner] = append(groups[owner], raw...)
 		groups[owner] = append(groups[owner], '\n')
+		objects++
+	}
+	if objects == 0 {
+		return IngestResult{}, errors.New("cluster: empty ingest body")
 	}
 	var out IngestResult
 	for i, group := range groups {
@@ -82,11 +72,15 @@ func (c *Coordinator) ForwardIngestJSON(ctx context.Context, body []byte) (Inges
 // retried body remains exactly-once on every node that already applied its
 // share. Any node failure fails the whole request for exactly that reason:
 // the client retries the full body and the nodes that already applied
-// dedup their part.
+// dedup their part. A body with no batch frames is refused, as a node
+// refuses it.
 func (c *Coordinator) ForwardBin(ctx context.Context, body []byte) (IngestResult, error) {
 	st, err := serve.DecodeBinBody(body)
 	if err != nil {
 		return IngestResult{}, err
+	}
+	if len(st.Batches) == 0 {
+		return IngestResult{}, errors.New("cluster: binary ingest body carries no batch frames")
 	}
 	type group struct {
 		buf  []byte

@@ -78,7 +78,7 @@ func TestAddBatchZeroAllocs(t *testing.T) {
 func TestQuantilesWarmAllocs(t *testing.T) {
 	skipIfAllocsUnreliable(t)
 	s := warmSketch(t, 10, 596, PolicyNew)
-	// Leave a partial fill buffer live so the padded-copy cache is on the
+	// Leave a partial fill buffer live so the sorted-copy cache is on the
 	// measured path too.
 	if err := s.AddBatch(benchData(100, 24)); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestQuantilesWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestFinalBuffersAllocs pins the copy discipline of the snapshot paths:
+// TestFinalBuffersAllocs pins the copy discipline of the snapshot path:
 // exactly one right-sized allocation per view plus the slice header, with
 // no append-growth waste (cap == len on every copy).
 func TestFinalBuffersAllocs(t *testing.T) {
@@ -105,25 +105,6 @@ func TestFinalBuffersAllocs(t *testing.T) {
 	s := warmSketch(t, 8, 1024, PolicyNew)
 	if err := s.AddBatch(benchData(100, 25)); err != nil {
 		t.Fatal(err)
-	}
-
-	views, _, err := s.FinalBuffers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range views {
-		if cap(v.Data) != len(v.Data) {
-			t.Fatalf("FinalBuffers view %d: cap %d != len %d (over-sized copy)", i, cap(v.Data), len(v.Data))
-		}
-	}
-	want := float64(len(views) + 1) // one per copied view + the outer slice
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := s.FinalBuffers(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > want {
-		t.Fatalf("FinalBuffers allocated %v per call, want <= %v", allocs, want)
 	}
 
 	raw, err := s.FinalBuffersRaw()
@@ -148,7 +129,7 @@ func TestFinalBuffersAllocs(t *testing.T) {
 
 // TestPaddedFillCacheInvalidation guards the generation counter: a query
 // after any mutation (Add, AddBatch, Reset, Absorb) must see fresh data,
-// never the cached padded copy of a previous fill state.
+// never the cached sorted copy of a previous fill state.
 func TestPaddedFillCacheInvalidation(t *testing.T) {
 	s, err := NewSketch(4, 64, PolicyNew)
 	if err != nil {

@@ -7,10 +7,12 @@
 // configured collapsing policy decides that space must be reclaimed, a
 // COLLAPSE operation merges c >= 2 full buffers into a single buffer whose
 // weight is the sum of the input weights. A query performs the paper's
-// OUTPUT operation over the surviving full buffers: it reads the element at
-// position ceil(phi' * kW) of the weighted merge, where phi' transposes the
-// requested quantile onto the dataset augmented with the -Inf/+Inf sentinels
-// that pad the final partial buffer.
+// OUTPUT operation over the surviving full buffers and the sorted partial
+// buffer, which joins unpadded at weight 1: it reads the element at position
+// ceil(phi * N) of the weighted merge. That is the element the paper's
+// position ceil(phi' * kW) selects over the partial buffer padded with
+// -Inf/+Inf sentinels, since the padding shifts every real position by the
+// same number of -Inf slots.
 //
 // Three collapsing policies are provided, matching Section 3.4 of the paper:
 // the Munro-Paterson binary-counter policy, the Alsabti-Ranka-Singh

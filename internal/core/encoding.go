@@ -268,14 +268,24 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 
 // readFloats reads n little-endian float64s, checking that the input holds
 // them before allocating: a header may declare any geometry, so decode
-// allocates what the input carries, not what it claims.
+// allocates what the input carries, not what it claims. The values are
+// decoded through a stack chunk, so the result is the only allocation.
 func readFloats(r *bytes.Reader, n uint32) ([]float64, error) {
 	if int64(r.Len()) < int64(n)*8 {
 		return nil, fmt.Errorf("core: truncated sketch encoding: %d values declared, %d bytes left", n, r.Len())
 	}
 	vs := make([]float64, n)
-	if err := binary.Read(r, binary.LittleEndian, vs); err != nil {
-		return nil, fmt.Errorf("core: truncated sketch encoding: %w", err)
+	var chunk [512]byte
+	for i := 0; i < len(vs); {
+		m := min(len(vs)-i, len(chunk)/8)
+		// Cannot come up short: the length check above covers every value.
+		if _, err := r.Read(chunk[:8*m]); err != nil {
+			return nil, fmt.Errorf("core: truncated sketch encoding: %w", err)
+		}
+		for j := range m {
+			vs[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*j:]))
+		}
+		i += m
 	}
 	return vs, nil
 }

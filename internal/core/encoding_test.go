@@ -184,6 +184,72 @@ func TestUnmarshalAllocatesWhatItReads(t *testing.T) {
 	}
 }
 
+// TestQuantileAllocatesByFillNotK: a query reads the partial buffer at its
+// own length, so a decoded one-value sketch that declares k = 2^24 answers
+// without a k-element copy.
+func TestQuantileAllocatesByFillNotK(t *testing.T) {
+	// 118 bytes: b=2, k=2^24, one value mid-fill.
+	var enc bytes.Buffer
+	enc.WriteString(encMagic)
+	enc.WriteByte(byte(PolicyNew))
+	enc.WriteByte(flagEven | flagFill)
+	for _, v := range []any{
+		uint32(2), uint32(1 << 24), // b, k
+		int64(1), 7.0, 7.0, // count, min, max
+		[7]int64{},                          // stats
+		uint32(0),                           // full buffers
+		uint32(0), uint32(1), int32(0), 7.0, // fill slot, length, level, value
+	} {
+		if err := binary.Write(&enc, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if enc.Len() != 118 {
+		t.Fatalf("encoding is %d bytes, want 118", enc.Len())
+	}
+	var s Sketch
+	if err := s.UnmarshalBinary(enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := s.Quantile(0.5)
+	runtime.ReadMemStats(&after)
+	if err != nil || v != 7 {
+		t.Fatalf("Quantile(0.5) = %v, %v; want 7", v, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Quantile(0.5) allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestUnmarshalAllocatesNearHeldBytes: decode reads the float payload
+// straight into the buffers it restores, with no temporary copy of it.
+func TestUnmarshalAllocatesNearHeldBytes(t *testing.T) {
+	const b, k = 8, 4096
+	s := mustSketch(t, b, k, PolicyNew)
+	addAll(t, s, permutation(b*k, 36)) // every buffer full, none collapsed yet
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored Sketch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = restored.UnmarshalBinary(data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := uint64(restored.HeldElements()) * 8
+	if held != b*k*8 {
+		t.Fatalf("restored sketch holds %d bytes, want all %d buffers (%d)", held, b, b*k*8)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(held) {
+		t.Fatalf("decode allocated %d bytes for %d held, want <= 1.1x", got, held)
+	}
+}
+
 func TestPropertyEncodingRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -11,7 +11,7 @@ import (
 // estimate is the weighted count of summary slots at or below v, which is
 // exactly the inverse of the OUTPUT position selection.
 func (s *Sketch) Rank(v float64) (int64, error) {
-	views, negPad, err := s.outputViews()
+	views, err := s.outputViews()
 	if err != nil {
 		return 0, err
 	}
@@ -24,12 +24,7 @@ func (s *Sketch) Rank(v float64) (int64, error) {
 		idx := sort.Search(len(w.Data), func(i int) bool { return w.Data[i] > v })
 		r += int64(idx) * w.Weight
 	}
-	// Remove the -Inf padding slots (all of which count as <= v for any
-	// finite v) and clamp to the real element count.
-	r -= negPad
-	if r < 0 {
-		r = 0
-	}
+	// The merge has exactly Count slots; the clamp guards decoded state.
 	if r > s.count {
 		r = s.count
 	}

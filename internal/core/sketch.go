@@ -53,7 +53,7 @@ type Sketch struct {
 	merge mergeScratch
 
 	// qry is the OUTPUT scratch; gen is the mutation generation that
-	// invalidates its cached padded copy of the mid-fill buffer.
+	// invalidates its cached sorted copy of the mid-fill buffer.
 	qry queryScratch
 	gen uint64
 }
@@ -68,11 +68,11 @@ type queryScratch struct {
 	exactIdx []int
 	exactVal []float64
 
-	// padded caches the sorted, sentinel-padded weight-1 copy of the
-	// mid-fill buffer; it is rebuilt only when the sketch has mutated
-	// (paddedGen != gen) since the copy was made.
-	padded    []float64
-	paddedGen uint64
+	// fill caches the sorted copy of the mid-fill buffer; it is rebuilt
+	// only when the sketch has mutated (fillGen != gen) since the copy was
+	// made.
+	fill    []float64
+	fillGen uint64
 
 	sorter tgtSorter
 }
@@ -128,7 +128,7 @@ func NewSketch(b, k int, policy Policy) (*Sketch, error) {
 		bufs:     make([]*buffer, b),
 		evenHigh: true,
 		scratchW: make([]Weighted, 0, b),
-		gen:      1, // nonzero so a zero paddedGen can never look current
+		gen:      1, // nonzero so a zero fillGen can never look current
 	}
 	for i := range s.bufs {
 		s.bufs[i] = new(buffer)
@@ -399,7 +399,7 @@ func (s *Sketch) Quantile(phi float64) (float64, error) {
 // number of quantiles at no extra memory cost (Section 4.7). Queries are
 // non-destructive; the sketch can keep absorbing input afterwards.
 func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
-	views, negPad, err := s.outputViews()
+	views, err := s.outputViews()
 	if err != nil {
 		return nil, err
 	}
@@ -409,12 +409,9 @@ func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 		}
 	}
 
-	// Map each phi onto a 1-based position in the augmented weighted merge:
-	// rank ceil(phi*N) in the original input shifts up by the number of -Inf
-	// sentinels padded onto the partial buffer. This is the paper's
-	// phi' = (2*phi + beta - 1) / (2*beta) transposition, computed directly
-	// on ranks so odd pads are handled exactly. Everything below the result
-	// slice runs on per-sketch scratch.
+	// Map each phi onto its 1-based position ceil(phi*N) in the weighted
+	// merge, which has exactly N slots (see outputViews). Everything below
+	// the result slice runs on per-sketch scratch.
 	n := len(phis)
 	q := &s.qry
 	q.tgts = growInt64(q.tgts, n)
@@ -440,7 +437,7 @@ func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 			q.exactIdx = append(q.exactIdx, i)
 			q.exactVal = append(q.exactVal, s.max)
 		}
-		q.tgts[i] = r + negPad
+		q.tgts[i] = r
 		q.idx[i] = i
 	}
 	sortTargets(q.tgts, q.idx, &q.sorter)
@@ -503,14 +500,18 @@ func growFloat64(s []float64, n int) []float64 {
 }
 
 // outputViews assembles the OUTPUT operands: the full buffers plus, if an
-// input buffer is mid-fill, a weight-1 copy padded with equal numbers of
-// -Inf and +Inf sentinels (Section 3.1). It returns the views and the
-// number of -Inf sentinels added. The returned views alias per-sketch
+// input buffer is mid-fill, a sorted weight-1 copy of it at its own length.
+// Every slot then stands for exactly its weight in real elements, so the
+// weighted merge has exactly Count slots and rank r sits at position r. The
+// paper instead pads the partial buffer to k with equal numbers of -Inf and
+// +Inf sentinels and transposes phi to phi' = (2*phi + beta - 1)/(2*beta);
+// that shifts every real position up by the same number of -Inf slots, so
+// both forms select the same elements. The returned views alias per-sketch
 // scratch and live buffer data: they are valid until the next mutation or
-// query, and callers handing them out (FinalBuffers) must deep-copy.
-func (s *Sketch) outputViews() ([]Weighted, int64, error) {
+// query.
+func (s *Sketch) outputViews() ([]Weighted, error) {
 	if s.count == 0 {
-		return nil, 0, ErrEmpty
+		return nil, ErrEmpty
 	}
 	views := s.qry.views[:0]
 	for _, b := range s.bufs {
@@ -518,68 +519,35 @@ func (s *Sketch) outputViews() ([]Weighted, int64, error) {
 			views = append(views, Weighted{Data: b.data, Weight: b.weight})
 		}
 	}
-	var negPad int64
 	if s.fill != nil && len(s.fill.data) > 0 {
-		negPad = s.paddedFill()
-		views = append(views, Weighted{Data: s.qry.padded, Weight: 1})
+		views = append(views, Weighted{Data: s.sortedFill(), Weight: 1})
 	}
 	s.qry.views = views
-	return views, negPad, nil
+	return views, nil
 }
 
-// paddedFill returns the number of -Inf sentinels in the padded weight-1
-// copy of the mid-fill buffer, (re)building the copy in s.qry.padded only
-// when the sketch has mutated since the last query: repeated reads between
-// Adds sort the partial buffer once, not per query.
-func (s *Sketch) paddedFill() int64 {
-	fillLen := len(s.fill.data)
-	neg := (s.k - fillLen) / 2
-	if s.qry.paddedGen == s.gen && len(s.qry.padded) == s.k {
-		return int64(neg)
+// sortedFill returns the sorted copy of the mid-fill buffer, (re)building
+// it only when the sketch has mutated since the last query: repeated reads
+// between Adds sort the partial buffer once, not per query.
+func (s *Sketch) sortedFill() []float64 {
+	if s.qry.fillGen != s.gen {
+		if n := len(s.fill.data); cap(s.qry.fill) < n {
+			// Grow geometrically, never past the k elements a fill holds.
+			s.qry.fill = make([]float64, 0, min(2*n, s.k))
+		}
+		s.qry.fill = append(s.qry.fill[:0], s.fill.data...)
+		sortFloats(s.qry.fill)
+		s.qry.fillGen = s.gen
 	}
-	if cap(s.qry.padded) < s.k {
-		s.qry.padded = make([]float64, s.k)
-	}
-	p := s.qry.padded[:s.k]
-	for i := 0; i < neg; i++ {
-		p[i] = math.Inf(-1)
-	}
-	vals := p[neg : neg+fillLen]
-	copy(vals, s.fill.data)
-	sortFloats(vals)
-	for i := neg + fillLen; i < s.k; i++ {
-		p[i] = math.Inf(1)
-	}
-	s.qry.padded = p
-	s.qry.paddedGen = s.gen
-	return int64(neg)
+	return s.qry.fill
 }
 
-// FinalBuffers returns copies of the buffers that would feed OUTPUT right
-// now (including the padded partial buffer) together with the number of
-// -Inf sentinels in them. This is the exchange format for the parallel
+// FinalBuffersRaw returns copies of the buffers that would feed OUTPUT right
+// now: the full buffers plus the partial fill buffer as a short sorted
+// weight-1 buffer, so the weighted merge has exactly Count slots (see
+// outputViews). This is the exchange format for the parallel
 // root-combination phase of Section 4.9: concatenate the final buffers of
 // all partitions and run a single OUTPUT selection across them.
-func (s *Sketch) FinalBuffers() (views []Weighted, negPad int64, err error) {
-	raw, negPad, err := s.outputViews()
-	if err != nil {
-		return nil, 0, err
-	}
-	views = make([]Weighted, len(raw))
-	for i, v := range raw {
-		cp := make([]float64, len(v.Data))
-		copy(cp, v.Data)
-		views[i] = Weighted{Data: cp, Weight: v.Weight}
-	}
-	return views, negPad, nil
-}
-
-// FinalBuffersRaw returns copies of the full buffers plus the partial fill
-// buffer as a short weight-1 buffer WITHOUT sentinel padding. Because every
-// slot then stands for exactly its weight in real elements, selection
-// positions over these views need no padding offset: the weighted merge has
-// exactly Count slots. This is the preferred exchange format for combining
-// sketches; FinalBuffers keeps the paper's padded form.
 func (s *Sketch) FinalBuffersRaw() ([]Weighted, error) {
 	if s.count == 0 {
 		return nil, ErrEmpty

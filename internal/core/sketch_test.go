@@ -400,9 +400,10 @@ func TestErrorBoundHoldsOnAdversarialOrders(t *testing.T) {
 	}
 }
 
-// TestPartialBufferPadding checks the -Inf/+Inf augmentation of the final
-// short buffer: results must stay exact for tiny inputs regardless of how
-// the pad splits.
+// TestPartialBufferPadding checks the final short buffer, which joins
+// OUTPUT unpadded: results must stay exact for tiny inputs whatever share
+// of k the fill holds (where the paper's -Inf/+Inf pad would split either
+// way).
 func TestPartialBufferPadding(t *testing.T) {
 	for k := 1; k <= 9; k++ {
 		for n := 1; n <= k; n++ {
@@ -427,30 +428,15 @@ func TestPartialBufferPadding(t *testing.T) {
 func TestFinalBuffersAccounting(t *testing.T) {
 	s := mustSketch(t, 3, 4, PolicyNew)
 	addAll(t, s, permutation(10, 2)) // 2 full buffers + 2-element partial
-	views, negPad, err := s.FinalBuffers()
+	views, err := s.FinalBuffersRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := TotalWeight(views)
-	if total != s.Count()+negPad+(total-s.Count()-negPad) {
-		t.Fatal("impossible")
+	// Unpadded, the weighted total is exactly the element count.
+	if total := TotalWeight(views); total != s.Count() {
+		t.Fatalf("TotalWeight = %d, want count %d", total, s.Count())
 	}
-	// Weighted total must equal the augmented count: N plus all sentinels.
-	var sentinels int64
-	for _, v := range views {
-		for _, x := range v.Data {
-			if math.IsInf(x, 0) {
-				sentinels++
-			}
-		}
-	}
-	if total != s.Count()+sentinels {
-		t.Fatalf("TotalWeight = %d, want count %d + sentinels %d", total, s.Count(), sentinels)
-	}
-	if negPad != 1 { // pad = 2, split 1/1
-		t.Fatalf("negPad = %d, want 1", negPad)
-	}
-	// FinalBuffers must return copies: mutating them must not affect the
+	// FinalBuffersRaw must return copies: mutating them must not affect the
 	// sketch.
 	views[0].Data[0] = math.MaxFloat64
 	a, err := s.Quantile(0.5)
@@ -458,10 +444,10 @@ func TestFinalBuffersAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a == math.MaxFloat64 {
-		t.Fatal("FinalBuffers exposed internal storage")
+		t.Fatal("FinalBuffersRaw exposed internal storage")
 	}
-	if _, _, err := mustSketch(t, 2, 2, PolicyNew).FinalBuffers(); err != ErrEmpty {
-		t.Fatalf("FinalBuffers on empty sketch: err = %v, want ErrEmpty", err)
+	if _, err := mustSketch(t, 2, 2, PolicyNew).FinalBuffersRaw(); err != ErrEmpty {
+		t.Fatalf("FinalBuffersRaw on empty sketch: err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -469,7 +455,7 @@ func TestErrorBoundMatchesStatsFormula(t *testing.T) {
 	s := mustSketch(t, 4, 8, PolicyNew)
 	addAll(t, s, permutation(2000, 13))
 	st := s.Stats()
-	views, _, err := s.FinalBuffers()
+	views, err := s.FinalBuffersRaw()
 	if err != nil {
 		t.Fatal(err)
 	}

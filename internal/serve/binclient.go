@@ -154,7 +154,6 @@ type BinClientStats struct {
 type pendingBatch struct {
 	seq      uint64 // per-session sequence number
 	values   []float64
-	weights  []float64
 	enqueued time.Time
 	written  bool // written on the live connection, ack pending
 }
@@ -249,28 +248,12 @@ func NewBinClient(opt BinClientOptions) (*BinClient, error) {
 // Stats returns a snapshot of the delivery counters.
 func (c *BinClient) Stats() BinClientStats { return c.stats }
 
-// Pending reports how many batches are enqueued but not yet acknowledged.
-func (c *BinClient) Pending() int { return len(c.queue) }
-
 // Send enqueues one batch for the configured metric and pumps the
 // connection until the in-flight window has room again. A nil return means
 // the batch is enqueued (and usually on the wire) — not yet necessarily
 // acknowledged; use Flush to drain. ErrBreakerOpen means the batch was
 // dropped without being enqueued.
 func (c *BinClient) Send(values []float64) error {
-	return c.send(values, nil)
-}
-
-// SendWeighted is Send for a (values, weights) batch; the metric must run
-// the "weighted" backend.
-func (c *BinClient) SendWeighted(values, weights []float64) error {
-	if len(weights) != len(values) {
-		return fmt.Errorf("%w: %d values but %d weights", ErrWeightMismatch, len(values), len(weights))
-	}
-	return c.send(values, weights)
-}
-
-func (c *BinClient) send(values, weights []float64) error {
 	if c.closed {
 		return ErrClientClosed
 	}
@@ -284,9 +267,6 @@ func (c *BinClient) send(values, weights []float64) error {
 		seq:      c.nextSeq,
 		values:   append([]float64(nil), values...),
 		enqueued: time.Now(),
-	}
-	if weights != nil {
-		b.weights = append([]float64(nil), weights...)
 	}
 	c.queue = append(c.queue, b)
 	c.pump(c.opt.MaxInflight, false)
@@ -485,7 +465,7 @@ func (c *BinClient) writeUnwritten() error {
 		if b.written {
 			continue
 		}
-		buf = AppendBatchSeqFrame(buf, 1, b.seq, b.values, b.weights)
+		buf = AppendBatchSeqFrame(buf, 1, b.seq, b.values, nil)
 		sent = append(sent, b)
 	}
 	c.connBuf = buf

@@ -155,7 +155,7 @@ func Simulate(policy core.Policy, b int, leaves int64) (Shape, error) {
 		}
 	}
 	st := s.Stats()
-	views, _, err := s.FinalBuffers()
+	views, err := s.FinalBuffersRaw()
 	if err != nil {
 		return Shape{}, err
 	}

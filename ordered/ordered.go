@@ -4,11 +4,11 @@
 // keys), time stamps, big integers — anything with a comparison function.
 //
 // The algorithm is the paper's new collapsing policy exactly as in package
-// quantile, with one representational difference: instead of padding the
-// final short buffer with -Inf/+Inf sentinels (which do not exist for an
-// arbitrary type), the partial buffer participates in OUTPUT as a short
-// weight-1 buffer, which is an exact accounting of its elements. The
-// Lemma 5 guarantee is unchanged.
+// quantile. Like it, the partial buffer participates in OUTPUT as a short
+// weight-1 buffer instead of being padded with -Inf/+Inf sentinels (which
+// do not exist for an arbitrary type): an exact accounting of its elements
+// that selects what the padded form selects. The Lemma 5 guarantee is
+// unchanged.
 //
 // Use package quantile for float64 data: it is faster and adds the
 // sampling coupling, serialisation and rank queries.

@@ -50,22 +50,21 @@ type ConcurrentConfig struct {
 }
 
 // concurrentShard pairs one private summary with its own lock. MRL shards
-// hold a core sketch in sk (the zero-allocation hot path); other backends
-// hold their estimator in est, with sk nil. The padding keeps neighbouring
-// shard headers on distinct cache lines so that writers hammering
-// different shards do not false-share.
+// hold a deterministic *Sketch, so their ingest stays allocation-free. The
+// padding keeps neighbouring shard headers on distinct cache lines so that
+// writers hammering different shards do not false-share.
 type concurrentShard struct {
 	mu  sync.Mutex
-	sk  *core.Sketch
 	est Estimator
 	_   [40]byte
 }
 
 // Concurrent is a thread-safe, sharded ingestion front end: values are
-// routed to per-core shards, each shard owns a private deterministic Sketch
-// behind its own mutex, and queries snapshot all shards and answer through
-// the paper's Section 4.9 combined OUTPUT phase. All methods are safe for
-// concurrent use by any number of goroutines.
+// routed to per-core shards, each shard owns a private Estimator behind its
+// own mutex (a deterministic Sketch on the default MRL backend), and MRL
+// queries snapshot all shards and answer through the paper's Section 4.9
+// combined OUTPUT phase; other backends answer from the sealed estimator.
+// All methods are safe for concurrent use by any number of goroutines.
 //
 // Accuracy accounting (Lemma 5 applied to the forest of shard trees hanging
 // off one virtual root): combining P shard roots costs at most P-1 extra
@@ -78,7 +77,6 @@ type concurrentShard struct {
 type Concurrent struct {
 	shards  []*concurrentShard
 	next    atomic.Uint64 // round-robin routing cursor
-	policy  Policy
 	backend Backend
 	perDesc string // provisioning summary for Describe
 }
@@ -108,71 +106,65 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 	if err != nil {
 		return nil, err
 	}
-	if backend != BackendMRL {
-		// Non-MRL shards are provisioned directly by their backend: no
-		// per-shard N split (KLL does not need one and weighted sizes
-		// itself from ingested weight). Each shard's a-posteriori bound
-		// adds into the combined bound at query time.
-		shards := make([]*concurrentShard, p)
-		for i := range shards {
-			shardCfg := Config{Epsilon: cfg.Epsilon, K: cfg.K, Seed: cfg.Seed + int64(i)}
-			est, err := NewEstimator(backend, shardCfg)
-			if err != nil {
-				return nil, err
-			}
-			shards[i] = &concurrentShard{est: est}
-		}
-		return &Concurrent{
-			shards:  shards,
-			policy:  cfg.Policy,
-			backend: backend,
-			perDesc: shards[0].est.Describe(),
-		}, nil
+	// Non-MRL shards are provisioned directly by their backend: no
+	// per-shard N split (KLL does not need one and weighted sizes itself
+	// from ingested weight); queries absorb them into one estimator, whose
+	// a-posteriori bound covers the union.
+	shardCfg := func(i int) Config {
+		return Config{Epsilon: cfg.Epsilon, K: cfg.K, Seed: cfg.Seed + int64(i)}
 	}
-
-	var mk func() (*core.Sketch, error)
 	var perDesc string
-	switch {
-	case cfg.B != 0 || cfg.K != 0:
-		if cfg.B < 2 || cfg.K < 1 {
-			return nil, fmt.Errorf("quantile: explicit geometry B=%d K=%d invalid", cfg.B, cfg.K)
-		}
-		mk = func() (*core.Sketch, error) { return core.NewSketch(cfg.B, cfg.K, pol) }
-		perDesc = fmt.Sprintf("policy=%v b=%d k=%d", pol, cfg.B, cfg.K)
-	default:
-		if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
-			return nil, fmt.Errorf("quantile: Epsilon %v outside (0,1)", cfg.Epsilon)
-		}
-		if cfg.N < 1 {
-			return nil, fmt.Errorf("quantile: N %d must be positive", cfg.N)
-		}
-		// Split the rank budget: P-1 ranks pay for the root combination,
-		// the rest is divided evenly across the shards' ~N/P substreams.
-		nShard := (cfg.N + int64(p) - 1) / int64(p)
-		budget := cfg.Epsilon*float64(cfg.N) - float64(p-1)
-		if budget <= 0 {
-			return nil, fmt.Errorf(
-				"quantile: Epsilon %v too tight for %d shards at N=%d (need Epsilon*N > Shards-1)",
-				cfg.Epsilon, p, cfg.N)
-		}
-		epsShard := budget / (float64(p) * float64(nShard))
-		plan, err := params.Optimize(pol, epsShard, nShard)
+	if backend == BackendMRL {
+		mrl, desc, err := mrlShardConfig(cfg, pol, p)
 		if err != nil {
 			return nil, err
 		}
-		mk = plan.NewSketch
-		perDesc = fmt.Sprintf("policy=%v eps=%.3g n=%d b=%d k=%d", pol, epsShard, nShard, plan.B, plan.K)
+		shardCfg, perDesc = func(int) Config { return mrl }, desc
 	}
-
 	shards := make([]*concurrentShard, p)
 	for i := range shards {
-		sk, err := mk()
+		est, err := NewEstimator(backend, shardCfg(i))
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = &concurrentShard{sk: sk}
+		shards[i] = &concurrentShard{est: est}
 	}
-	return &Concurrent{shards: shards, policy: cfg.Policy, backend: BackendMRL, perDesc: perDesc}, nil
+	if perDesc == "" {
+		perDesc = shards[0].est.Describe()
+	}
+	return &Concurrent{shards: shards, backend: backend, perDesc: perDesc}, nil
+}
+
+// mrlShardConfig sizes every MRL shard of a P-shard sketch as an explicit
+// B x K geometry: the configured one, or the optimizer's for the shard's
+// share of the rank budget.
+func mrlShardConfig(cfg ConcurrentConfig, pol core.Policy, p int) (Config, string, error) {
+	if cfg.B != 0 || cfg.K != 0 {
+		// New validates the explicit geometry.
+		return Config{B: cfg.B, K: cfg.K, Policy: cfg.Policy}, fmt.Sprintf("policy=%v b=%d k=%d", pol, cfg.B, cfg.K), nil
+	}
+	if !(cfg.Epsilon > 0 && cfg.Epsilon < 1) {
+		return Config{}, "", fmt.Errorf("quantile: Epsilon %v outside (0,1)", cfg.Epsilon)
+	}
+	if cfg.N < 1 {
+		return Config{}, "", fmt.Errorf("quantile: N %d must be positive", cfg.N)
+	}
+	// Split the rank budget: P-1 ranks pay for the root combination, the
+	// rest is divided evenly across the shards' ~N/P substreams.
+	nShard := (cfg.N + int64(p) - 1) / int64(p)
+	budget := cfg.Epsilon*float64(cfg.N) - float64(p-1)
+	if budget <= 0 {
+		return Config{}, "", fmt.Errorf(
+			"quantile: Epsilon %v too tight for %d shards at N=%d (need Epsilon*N > Shards-1)",
+			cfg.Epsilon, p, cfg.N)
+	}
+	epsShard := budget / (float64(p) * float64(nShard))
+	plan, err := params.Optimize(pol, epsShard, nShard)
+	if err != nil {
+		return Config{}, "", err
+	}
+	desc := fmt.Sprintf("policy=%v eps=%.3g n=%d b=%d k=%d", pol, epsShard, nShard, plan.B, plan.K)
+	return Config{B: plan.B, K: plan.K, Policy: cfg.Policy}, desc, nil
 }
 
 // acquire returns a locked shard, preferring an uncontended one: starting
@@ -207,12 +199,7 @@ func (c *Concurrent) acquire() *concurrentShard {
 // Add consumes one stream element. NaN is rejected. Safe for concurrent use.
 func (c *Concurrent) Add(v float64) error {
 	sh := c.acquire()
-	var err error
-	if sh.sk != nil {
-		err = sh.sk.Add(v)
-	} else {
-		err = sh.est.Add(v)
-	}
+	err := sh.est.Add(v)
 	sh.mu.Unlock()
 	return err
 }
@@ -238,43 +225,44 @@ func (c *Concurrent) AddBatch(vs []float64) error {
 			return fmt.Errorf("quantile: element %d: NaN has no rank and cannot be added", i)
 		}
 	}
+	return c.forChunks(n, func(e Estimator, lo, hi int) error { return e.AddBatch(vs[lo:hi]) })
+}
+
+// forChunks splits n batch elements into per-shard chunks of at least
+// concurrentMinChunk (one chunk per shard at most) and hands each [lo, hi)
+// range to add together with a locked shard's summary, stopping at the
+// first error.
+func (c *Concurrent) forChunks(n int, add func(e Estimator, lo, hi int) error) error {
 	chunks := (n + concurrentMinChunk - 1) / concurrentMinChunk
 	if chunks > len(c.shards) {
 		chunks = len(c.shards)
 	}
-	per := n / chunks
-	extra := n % chunks
-	pos := 0
-	for i := 0; i < chunks; i++ {
-		sz := per
+	per, extra := n/chunks, n%chunks
+	for i, lo := 0, 0; i < chunks; i++ {
+		hi := lo + per
 		if i < extra {
-			sz++
+			hi++
 		}
 		sh := c.acquire()
-		var err error
-		if sh.sk != nil {
-			err = sh.sk.AddBatch(vs[pos : pos+sz])
-		} else {
-			err = sh.est.AddBatch(vs[pos : pos+sz])
-		}
+		err := add(sh.est, lo, hi)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		pos += sz
+		lo = hi
 	}
 	return nil
 }
 
-// snapshots freezes every shard in turn, each under its own lock. The cut is
-// per-shard atomic, not global: elements added concurrently with the loop
-// may or may not be included, which is the usual (and only meaningful)
+// snapshots freezes every MRL shard in turn, each under its own lock. The
+// cut is per-shard atomic, not global: elements added concurrently with the
+// loop may or may not be included, which is the usual (and only meaningful)
 // read-during-write contract for a streaming summary.
 func (c *Concurrent) snapshots() []parallel.Snapshot {
 	snaps := make([]parallel.Snapshot, len(c.shards))
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		snaps[i] = parallel.Snap(sh.sk)
+		snaps[i] = parallel.Snap(sh.est.(*Sketch).det)
 		sh.mu.Unlock()
 	}
 	return snaps
@@ -286,18 +274,18 @@ func (c *Concurrent) snapshots() []parallel.Snapshot {
 // epsilon it certifies).
 func (c *Concurrent) QuantilesWithBound(phis []float64) (values []float64, errorBound float64, err error) {
 	if c.backend != BackendMRL {
-		combined, err := c.combineEstimators()
+		sealed, err := c.seal()
 		if err != nil {
 			return nil, 0, err
 		}
-		if combined == nil {
+		if sealed == nil {
 			return nil, 0, ErrEmpty
 		}
-		values, err := combined.Quantiles(phis)
+		values, err := sealed.Quantiles(phis)
 		if err != nil {
 			return nil, 0, err
 		}
-		bound, _ := combined.ErrorBound()
+		bound, _ := sealed.ErrorBound()
 		return values, bound, nil
 	}
 	res, err := parallel.CombineSnapshots(c.snapshots(), phis)
@@ -332,11 +320,11 @@ func (c *Concurrent) Median() (float64, error) { return c.Quantile(0.5) }
 // shards for the collapses that have actually happened.
 func (c *Concurrent) ErrorBound() float64 {
 	if c.backend != BackendMRL {
-		combined, err := c.combineEstimators()
-		if err != nil || combined == nil {
+		sealed, err := c.seal()
+		if err != nil || sealed == nil {
 			return 0
 		}
-		bound, _ := combined.ErrorBound()
+		bound, _ := sealed.ErrorBound()
 		return bound
 	}
 	return parallel.CombinedBound(c.snapshots())
@@ -347,43 +335,25 @@ func (c *Concurrent) Count() int64 {
 	var total int64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.sk != nil {
-			total += sh.sk.Count()
-		} else {
-			total += sh.est.Count()
-		}
+		total += sh.est.Count()
 		sh.mu.Unlock()
 	}
 	return total
 }
 
 // Min returns the exact minimum consumed so far.
-func (c *Concurrent) Min() (float64, error) {
-	return c.extreme(func(sh *concurrentShard) (float64, error) {
-		if sh.sk != nil {
-			return sh.sk.Min()
-		}
-		return sh.est.Min()
-	}, math.Min)
-}
+func (c *Concurrent) Min() (float64, error) { return c.extreme(Estimator.Min, math.Min) }
 
 // Max returns the exact maximum consumed so far.
-func (c *Concurrent) Max() (float64, error) {
-	return c.extreme(func(sh *concurrentShard) (float64, error) {
-		if sh.sk != nil {
-			return sh.sk.Max()
-		}
-		return sh.est.Max()
-	}, math.Max)
-}
+func (c *Concurrent) Max() (float64, error) { return c.extreme(Estimator.Max, math.Max) }
 
-func (c *Concurrent) extreme(get func(*concurrentShard) (float64, error), pick func(float64, float64) float64) (float64, error) {
+func (c *Concurrent) extreme(get func(Estimator) (float64, error), pick func(float64, float64) float64) (float64, error) {
 	best := math.NaN()
 	seen := false
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.count() > 0 {
-			v, err := get(sh)
+		if sh.est.Count() > 0 {
+			v, err := get(sh.est)
 			if err != nil {
 				sh.mu.Unlock()
 				return math.NaN(), err
@@ -397,17 +367,9 @@ func (c *Concurrent) extreme(get func(*concurrentShard) (float64, error), pick f
 		sh.mu.Unlock()
 	}
 	if !seen {
-		return math.NaN(), core.ErrEmpty
+		return math.NaN(), ErrEmpty
 	}
 	return best, nil
-}
-
-// count reads the shard's element count; the caller holds the shard lock.
-func (sh *concurrentShard) count() int64 {
-	if sh.sk != nil {
-		return sh.sk.Count()
-	}
-	return sh.est.Count()
 }
 
 // Shards returns the number of writer shards.
@@ -416,17 +378,7 @@ func (c *Concurrent) Shards() int { return len(c.shards) }
 // MemoryElements returns the total buffer footprint across shards, in
 // elements.
 func (c *Concurrent) MemoryElements() int {
-	total := 0
-	for _, sh := range c.shards {
-		if sh.sk != nil {
-			total += sh.sk.MemoryElements()
-			continue
-		}
-		sh.mu.Lock()
-		total += sh.est.EstimatorStats().MemoryElements
-		sh.mu.Unlock()
-	}
-	return total
+	return c.EstimatorStats().MemoryElements
 }
 
 // ShardCounts returns the number of elements each shard currently holds, in
@@ -437,7 +389,7 @@ func (c *Concurrent) ShardCounts() []int64 {
 	counts := make([]int64, len(c.shards))
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		counts[i] = sh.count()
+		counts[i] = sh.est.Count()
 		sh.mu.Unlock()
 	}
 	return counts
@@ -472,7 +424,7 @@ func (c *Concurrent) Stats() IngestStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		st := sh.sk.Stats()
+		st := sh.est.(*Sketch).Stats()
 		sh.mu.Unlock()
 		out.Leaves += st.Leaves
 		out.Collapses += st.Collapses
@@ -492,26 +444,9 @@ func (c *Concurrent) Stats() IngestStats {
 func (c *Concurrent) Reset() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.sk != nil {
-			sh.sk.Reset()
-		} else {
-			_ = sh.est.Reset() // non-MRL estimators never fail Reset
-		}
+		_ = sh.est.Reset() // only sampled sketches fail Reset, and no shard samples
 		sh.mu.Unlock()
 	}
-}
-
-// cloneCore deep-copies a core sketch through its serialised form.
-func cloneCore(s *core.Sketch) (*core.Sketch, error) {
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	clone := &core.Sketch{}
-	if err := clone.UnmarshalBinary(blob); err != nil {
-		return nil, err
-	}
-	return clone, nil
 }
 
 // Describe returns a one-line summary of the sharded provisioning.

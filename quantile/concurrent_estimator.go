@@ -7,10 +7,8 @@ import (
 )
 
 // This file is the estimator surface of Concurrent: the methods that work
-// whatever summary the shards run. MRL shards combine through the Section
-// 4.9 combined OUTPUT over frozen snapshots; every other backend reaches
-// its shards through the Estimator interface and combines by
-// clone-and-absorb, which every backend's Absorb supports.
+// whatever summary the shards run. Every shard is an Estimator; sealing
+// combines them by clone-and-absorb, which every backend's Absorb supports.
 
 // Backend returns the summary implementation the shards run.
 func (c *Concurrent) Backend() Backend { return c.backend }
@@ -39,104 +37,49 @@ func (c *Concurrent) AddWeightedBatch(vs, ws []float64) error {
 			return fmt.Errorf("quantile: element %d: weight %v must be positive and finite", i, ws[i])
 		}
 	}
-	chunks := (n + concurrentMinChunk - 1) / concurrentMinChunk
-	if chunks > len(c.shards) {
-		chunks = len(c.shards)
-	}
-	per := n / chunks
-	extra := n % chunks
-	pos := 0
-	for i := 0; i < chunks; i++ {
-		sz := per
-		if i < extra {
-			sz++
-		}
-		sh := c.acquire()
-		err := sh.est.(*Weighted).AddWeightedBatch(vs[pos:pos+sz], ws[pos:pos+sz])
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		pos += sz
-	}
-	return nil
+	return c.forChunks(n, func(e Estimator, lo, hi int) error {
+		return e.(*Weighted).AddWeightedBatch(vs[lo:hi], ws[lo:hi])
+	})
 }
 
-// combineEstimators folds clones of every non-empty shard into one
-// standalone estimator, leaving the shards untouched. It returns nil when
-// nothing was consumed. The caller may query or serialise the result freely.
-func (c *Concurrent) combineEstimators() (Estimator, error) {
+// seal folds clones of every non-empty shard into one standalone estimator,
+// leaving the shards untouched. It returns nil when nothing was consumed.
+// The caller may query or serialise the result freely.
+func (c *Concurrent) seal() (Estimator, error) {
 	var out Estimator
-	absorb := func(e Estimator) error {
-		clone, err := cloneEstimator(e)
-		if err != nil {
-			return err
-		}
-		if out == nil {
-			out = clone
-			return nil
-		}
-		return out.Absorb(clone)
-	}
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if sh.est == nil {
-			sh.mu.Unlock()
-			return nil, errors.New("quantile: combineEstimators on an MRL sketch")
-		}
+		var clone Estimator
 		var err error
+		sh.mu.Lock()
 		if sh.est.Count() > 0 {
-			err = absorb(sh.est)
+			clone, err = cloneEstimator(sh.est)
 		}
 		sh.mu.Unlock()
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
+		case clone == nil:
+		case out == nil:
+			out = clone
+		default:
+			if err := out.Absorb(clone); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
 }
-
-var errNothingToSeal = errors.New("quantile: nothing consumed; nothing to seal")
 
 // SealEstimator folds every shard into one standalone estimator of the
 // sketch's backend — e.g. to serialise the combined state with
 // MarshalBinary — leaving the Concurrent sketch usable and unchanged. MRL
 // shards fold into one sequential *Sketch via the absorb path.
 func (c *Concurrent) SealEstimator() (Estimator, error) {
-	if c.backend != BackendMRL {
-		out, err := c.combineEstimators()
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			return nil, errNothingToSeal
-		}
-		return out, nil
+	out, err := c.seal()
+	if err == nil && out == nil {
+		err = errors.New("quantile: nothing consumed; nothing to seal")
 	}
-	var out *Sketch
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if sh.sk.Count() == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		clone, err := cloneCore(sh.sk)
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = &Sketch{cfg: Config{B: clone.B(), K: clone.K(), Policy: c.policy}, det: clone}
-			continue
-		}
-		if err := out.det.Absorb(clone); err != nil {
-			return nil, err
-		}
-	}
-	if out == nil {
-		return nil, errNothingToSeal
-	}
-	return out, nil
+	return out, err
 }
 
 // EstimatorStats returns the pooled backend-neutral maintenance counters
@@ -145,19 +88,7 @@ func (c *Concurrent) EstimatorStats() EstimatorStats {
 	out := EstimatorStats{Backend: c.backend}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		var st EstimatorStats
-		if sh.sk != nil {
-			cs := sh.sk.Stats()
-			st = EstimatorStats{
-				Count:          sh.sk.Count(),
-				MemoryElements: sh.sk.MemoryElements(),
-				HeldElements:   sh.sk.HeldElements(),
-				Compactions:    cs.Collapses,
-				Absorbs:        cs.Absorbs,
-			}
-		} else {
-			st = sh.est.EstimatorStats()
-		}
+		st := sh.est.EstimatorStats()
 		sh.mu.Unlock()
 		out.Count += st.Count
 		out.MemoryElements += st.MemoryElements
