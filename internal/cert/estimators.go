@@ -401,8 +401,7 @@ func runParallel(sc Scenario, data, phis []float64) (runResult, error) {
 	} else {
 		epsLimit = -1
 	}
-	snaps := make([]parallel.Snapshot, 0, parts)
-	var count int64
+	sketches := make([]*core.Sketch, 0, parts)
 	per := len(data) / parts
 	extra := len(data) % parts
 	pos := 0
@@ -419,10 +418,9 @@ func runParallel(sc Scenario, data, phis []float64) (runResult, error) {
 			return runResult{}, err
 		}
 		pos += sz
-		count += sk.Count()
-		snaps = append(snaps, parallel.Snap(sk))
+		sketches = append(sketches, sk)
 	}
-	res, err := parallel.CombineSnapshots(snaps, phis)
+	res, err := parallel.Combine(sketches, phis)
 	if err != nil {
 		return runResult{}, err
 	}

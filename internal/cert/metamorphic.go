@@ -180,11 +180,7 @@ func (c *Certifier) checkAssociativity(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	snaps := make([]parallel.Snapshot, len(flat))
-	for i, sk := range flat {
-		snaps[i] = parallel.Snap(sk)
-	}
-	res, err := parallel.CombineSnapshots(snaps, sc.Phis)
+	res, err := parallel.Combine(flat, sc.Phis)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -44,7 +44,7 @@ const (
 	// EstimatorConcurrent is the sharded quantile.Concurrent ingest path.
 	EstimatorConcurrent = "concurrent"
 	// EstimatorParallel partitions the stream across independent core
-	// sketches and combines them with parallel.CombineSnapshots (§4.9).
+	// sketches and combines them with parallel.Combine (§4.9).
 	EstimatorParallel = "parallel"
 	// EstimatorServe drives the internal/serve HTTP handler end to end:
 	// POST /ingest batches, then GET /quantile.

@@ -213,7 +213,7 @@ func (c *Coordinator) Query(ctx context.Context, metric string, phis []float64) 
 		}
 	}
 	type pull struct {
-		parts []serve.SnapshotPart
+		parts []quantile.EstimatorSnapshot
 		err   error
 	}
 	pulls := make([]pull, len(c.nodes))
@@ -235,13 +235,7 @@ func (c *Coordinator) Query(ctx context.Context, metric string, phis []float64) 
 			missing = append(missing, c.nodes[i])
 			continue
 		}
-		for _, part := range p.parts {
-			b, err := quantile.ParseBackend(part.Backend)
-			if err != nil {
-				return QueryResult{}, fmt.Errorf("cluster: snapshot from %s: %w", c.nodes[i], err)
-			}
-			snaps = append(snaps, quantile.EstimatorSnapshot{Backend: b, Count: part.Count, Blob: part.Blob})
-		}
+		snaps = append(snaps, p.parts...)
 	}
 	if len(missing) == len(c.nodes) {
 		return QueryResult{}, fmt.Errorf("%w: %s", ErrAllNodesDown, strings.Join(missing, ", "))
@@ -268,7 +262,7 @@ func (c *Coordinator) Query(ctx context.Context, metric string, phis []float64) 
 // pullSnapshot fetches and decodes one node's snapshot document. A 404 is
 // "alive and empty" (zero parts, no error); anything else but a 200 is a
 // node failure.
-func (c *Coordinator) pullSnapshot(ctx context.Context, node, metric string) ([]serve.SnapshotPart, error) {
+func (c *Coordinator) pullSnapshot(ctx context.Context, node, metric string) ([]quantile.EstimatorSnapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/snapshot?metric="+url.QueryEscape(metric), nil)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@ package core
 import "fmt"
 
 // Absorb merges the contents of other into s, leaving other untouched.
-// Unlike the query-time combination of internal/parallel, the result is a
+// Unlike the query-time combination of Quantiles, the result is a
 // live sketch: it keeps absorbing input and keeps its Lemma 5 certificate.
 //
 // The merged buffer population can exceed b, so Absorb runs additional

@@ -173,6 +173,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if restored.count == 0 && (nFull > 0 || flags&flagFill != 0) {
 		return errors.New("core: buffers encoded for an empty sketch")
 	}
+	// held counts the elements the full buffers stand for. OUTPUT's rank
+	// arithmetic needs it plus the fill length to equal count, so an
+	// encoding may not certify elements it does not carry.
+	var held int64
 	prevSlot := -1
 	for i := uint32(0); i < nFull; i++ {
 		var slot uint32
@@ -194,9 +198,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		if err := rd(&level); err != nil {
 			return fmt.Errorf("core: truncated sketch encoding: %w", err)
 		}
-		if buf.weight < 1 {
-			return fmt.Errorf("core: buffer weight %d invalid", buf.weight)
+		if buf.weight < 1 || buf.weight > (restored.count-held)/int64(k32) {
+			return fmt.Errorf("core: buffer weight %d invalid for count %d", buf.weight, restored.count)
 		}
+		held += buf.weight * int64(k32)
 		buf.level = int(level)
 		if buf.data, err = readFloats(r, k32); err != nil {
 			return err
@@ -261,6 +266,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	if r.Len() != 0 {
 		return fmt.Errorf("core: %d trailing bytes in sketch encoding", r.Len())
+	}
+	if restored.count-held != int64(fillLen) {
+		return fmt.Errorf("core: count %d differs from the %d elements the buffers hold", restored.count, held+int64(fillLen))
 	}
 	*s = *restored
 	return nil

@@ -288,3 +288,53 @@ func TestPropertyEncodingRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnmarshalRejectsCountBeyondBuffers: the declared count must equal the
+// elements the buffers carry (weight*k per full buffer plus the fill
+// length). An encoding that declares 1000 elements but holds a two-value
+// fill would otherwise answer 9 at every phi and certify Rank(5) = 1
+// within a bound of 0.5.
+func TestUnmarshalRejectsCountBeyondBuffers(t *testing.T) {
+	encode := func(count int64) []byte {
+		var enc bytes.Buffer
+		enc.WriteString(encMagic)
+		enc.WriteByte(byte(PolicyNew))
+		enc.WriteByte(flagEven | flagFill)
+		for _, v := range []any{
+			uint32(3), uint32(4), // b, k
+			count, 1.0, 9.0, // count, min, max
+			[7]int64{},                               // stats
+			uint32(0),                                // full buffers
+			uint32(0), uint32(2), int32(0), 1.0, 9.0, // fill slot, length, level, values
+		} {
+			if err := binary.Write(&enc, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return enc.Bytes()
+	}
+	var s Sketch
+	if err := s.UnmarshalBinary(encode(1000)); err == nil {
+		t.Fatalf("count 1000 over a two-value fill accepted: %v", &s)
+	}
+	if err := s.UnmarshalBinary(encode(2)); err != nil {
+		t.Fatalf("consistent encoding rejected: %v", err)
+	}
+
+	// A full buffer over-claiming the count is refused too, without
+	// overflowing weight*k.
+	full := mustSketch(t, 3, 4, PolicyNew)
+	addAll(t, full, permutation(4, 41))
+	enc, err := full.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const weightOff = 4 + 2 + 8 + 8*3 + 8*7 + 4 + 4 // header, stats, nFull, slot
+	for _, w := range []int64{2, 1 << 62} {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(bad[weightOff:], uint64(w))
+		if err := new(Sketch).UnmarshalBinary(bad); err == nil {
+			t.Fatalf("weight %d over count 4 accepted", w)
+		}
+	}
+}

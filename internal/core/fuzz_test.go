@@ -88,9 +88,82 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		if len(out) == 0 {
 			t.Fatal("re-marshal produced nothing")
 		}
+		// OUTPUT's rank arithmetic assumes the merge has exactly Count
+		// slots.
+		if views, err := s.FinalBuffersRaw(); s.Count() > 0 && (err != nil || TotalWeight(views) != s.Count()) {
+			t.Fatalf("Count %d but the buffers hold %d weighted slots (err %v)", s.Count(), TotalWeight(views), err)
+		}
 		if s.Count() > 0 {
 			if _, err := s.Quantile(0.5); err != nil {
 				t.Fatalf("accepted sketch cannot answer: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzCombine splits fuzzed values into P >= 1 sketches of fuzzed geometry,
+// some built through Absorb, and checks the shared OUTPUT (Quantiles and
+// ErrorBound over all of them) against an exact oracle: every answer's rank
+// error is within the combined bound, ranks 1 and N answer the exact
+// extremes, and the combined bound is no smaller than any part's own.
+func FuzzCombine(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("combined quantiles over partitions"), uint8(3), uint8(17), uint8(5))
+	f.Add([]byte{255, 0, 255, 0, 9, 9, 9, 200, 100, 50, 25, 12, 6, 3, 1}, uint8(4), uint8(200), uint8(31))
+	f.Fuzz(func(t *testing.T, raw []byte, parts, geom, absorbs uint8) {
+		if len(raw) == 0 {
+			return
+		}
+		p := 1 + int(parts)%5
+		data := make([]float64, len(raw))
+		for i, c := range raw {
+			data[i] = float64(c) + float64(i%3)/4
+		}
+		sketches := make([]*Sketch, p)
+		for i := range sketches {
+			g := int(geom) + 7*i
+			b, k, policy := 2+g%4, 1+(g/4)%8, Policies[(g/32)%len(Policies)]
+			chunk := data[i*len(data)/p : (i+1)*len(data)/p]
+			s := mustSketch(t, b, k, policy)
+			if absorbs>>i&1 == 1 && len(chunk) > 1 {
+				// Half through Absorb: the part carries an absorb charge.
+				other := mustSketch(t, b, k, policy)
+				addAll(t, other, chunk[len(chunk)/2:])
+				chunk = chunk[:len(chunk)/2]
+				if err := s.Absorb(other); err != nil {
+					t.Fatal(err)
+				}
+			}
+			addAll(t, s, chunk)
+			sketches[i] = s
+		}
+		sorted := append([]float64(nil), data...)
+		sort.Float64s(sorted)
+		n := len(sorted)
+
+		bound := ErrorBound(sketches)
+		for i, s := range sketches {
+			if s.Count() > 0 && bound < s.ErrorBound() {
+				t.Fatalf("combined bound %v below part %d's own %v", bound, i, s.ErrorBound())
+			}
+		}
+		phis := []float64{0, 0.1, 0.33, 0.5, 0.77, 0.9, 1}
+		got, err := Quantiles(sketches, phis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != sorted[0] || got[len(phis)-1] != sorted[n-1] {
+			t.Fatalf("ranks 1 and %d answered %v and %v, want the exact extremes %v and %v",
+				n, got[0], got[len(phis)-1], sorted[0], sorted[n-1])
+		}
+		for i, phi := range phis {
+			target := max(math.Ceil(phi*float64(n)), 1)
+			// The rank interval of got[i] in the data.
+			lo := float64(sort.SearchFloat64s(sorted, got[i]) + 1)
+			hi := float64(sort.Search(n, func(j int) bool { return sorted[j] > got[i] }))
+			if target < lo-bound || target > hi+bound {
+				t.Fatalf("P=%d n=%d phi=%v: got %v (ranks [%v,%v]), target %v, bound %v",
+					p, n, phi, got[i], lo, hi, target, bound)
 			}
 		}
 	})

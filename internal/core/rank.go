@@ -11,23 +11,21 @@ import (
 // estimate is the weighted count of summary slots at or below v, which is
 // exactly the inverse of the OUTPUT position selection.
 func (s *Sketch) Rank(v float64) (int64, error) {
-	views, err := s.outputViews()
-	if err != nil {
-		return 0, err
+	if s.count == 0 {
+		return 0, ErrEmpty
 	}
 	if math.IsNaN(v) {
 		return 0, errNaNRank
 	}
 	var r int64
-	for _, w := range views {
+	s.qry.views = s.appendViews(s.qry.views[:0], &s.qry)
+	for _, w := range s.qry.views {
 		// Count slots with value <= v; each stands for Weight elements.
 		idx := sort.Search(len(w.Data), func(i int) bool { return w.Data[i] > v })
 		r += int64(idx) * w.Weight
 	}
-	// The merge has exactly Count slots; the clamp guards decoded state.
-	if r > s.count {
-		r = s.count
-	}
+	// The merge has exactly Count slots (UnmarshalBinary enforces it), so
+	// r never exceeds Count.
 	return r, nil
 }
 

@@ -20,8 +20,8 @@ var errNaN = errors.New("core: NaN has no rank and cannot be added")
 // NewSketch.
 //
 // A Sketch is not safe for concurrent use. For partitioned parallel
-// computation use one Sketch per goroutine and combine them with
-// internal/parallel (Section 4.9 of the paper).
+// computation use one Sketch per goroutine and combine them with the
+// package-level Quantiles and ErrorBound (Section 4.9 of the paper).
 type Sketch struct {
 	b, k   int
 	policy Policy
@@ -49,17 +49,15 @@ type Sketch struct {
 	// scratchW holds the COLLAPSE operand views (at most b of them).
 	scratchW []Weighted
 
-	// merge is the selection scratch shared by COLLAPSE and the query path.
-	merge mergeScratch
-
 	// qry is the OUTPUT scratch; gen is the mutation generation that
 	// invalidates its cached sorted copy of the mid-fill buffer.
 	qry queryScratch
 	gen uint64
 }
 
-// queryScratch is the per-sketch scratch reused across Quantiles, Rank and
-// outputViews calls so warm queries allocate only their result slice.
+// queryScratch is the OUTPUT scratch: per sketch for its own Quantiles and
+// Rank calls, and pooled for a combine over several sketches, so warm
+// queries allocate only their result slice.
 type queryScratch struct {
 	views    []Weighted
 	tgts     []int64
@@ -68,23 +66,28 @@ type queryScratch struct {
 	exactIdx []int
 	exactVal []float64
 
-	// fill caches the sorted copy of the mid-fill buffer; it is rebuilt
-	// only when the sketch has mutated (fillGen != gen) since the copy was
-	// made.
+	// fill caches the sorted copy of the sketch's own mid-fill buffer; it
+	// is rebuilt only when the sketch has mutated (fillGen != gen) since
+	// the copy was made. fills holds a combine's sorted copies of its
+	// sketches' mid-fill buffers.
 	fill    []float64
 	fillGen uint64
+	fills   []float64
 
 	sorter tgtSorter
+	merge  mergeScratch
 }
 
-// scratch is the k-element working memory of one COLLAPSE (targets and
-// output) or one radix sort (keys and swap). Operations borrow it from
-// scratchPool and return it when they finish, so a sketch at rest holds
-// only its buffers, and steady-state operations still allocate nothing.
+// scratch is the k-element working memory of one COLLAPSE (targets, output
+// and merge cursors) or one radix sort (keys and swap). Operations borrow
+// it from scratchPool and return it when they finish, so a sketch at rest
+// holds only its buffers, and steady-state operations still allocate
+// nothing.
 type scratch struct {
 	targets    []int64
 	out        []float64
 	keys, swap []uint64
+	merge      mergeScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -319,7 +322,7 @@ func (s *Sketch) collapse(inputs []*buffer, level int) *buffer {
 		views = append(views, Weighted{Data: in.data, Weight: in.weight})
 	}
 	sc.out = growFloat64(sc.out, s.k)
-	selectInMergeScratch(views, sc.targets, sc.out, &s.merge)
+	selectInMergeScratch(views, sc.targets, sc.out, &sc.merge)
 
 	s.stats.Collapses++
 	s.stats.WeightSum += w
@@ -396,60 +399,12 @@ func (s *Sketch) Quantile(phi float64) (float64, error) {
 
 // Quantiles returns approximations of the given quantiles in one pass over
 // the surviving buffers: the paper's OUTPUT operation, which answers any
-// number of quantiles at no extra memory cost (Section 4.7). Queries are
-// non-destructive; the sketch can keep absorbing input afterwards.
+// number of quantiles at no extra memory cost (Section 4.7). It is the
+// one-sketch case of the package-level Quantiles and runs on per-sketch
+// scratch. Queries are non-destructive; the sketch can keep absorbing input
+// afterwards.
 func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
-	views, err := s.outputViews()
-	if err != nil {
-		return nil, err
-	}
-	for _, phi := range phis {
-		if phi < 0 || phi > 1 || math.IsNaN(phi) {
-			return nil, fmt.Errorf("core: quantile fraction %v outside [0,1]", phi)
-		}
-	}
-
-	// Map each phi onto its 1-based position ceil(phi*N) in the weighted
-	// merge, which has exactly N slots (see outputViews). Everything below
-	// the result slice runs on per-sketch scratch.
-	n := len(phis)
-	q := &s.qry
-	q.tgts = growInt64(q.tgts, n)
-	q.idx = growInt(q.idx, n)
-	q.picked = growFloat64(q.picked, n)
-	q.exactIdx = q.exactIdx[:0]
-	q.exactVal = q.exactVal[:0]
-	for i, phi := range phis {
-		r := int64(math.Ceil(phi * float64(s.count)))
-		if r < 1 {
-			r = 1
-		}
-		if r > s.count {
-			r = s.count
-		}
-		// Ranks 1 and N are tracked exactly; collapses may have dropped
-		// the true extremes from the buffers.
-		switch r {
-		case 1:
-			q.exactIdx = append(q.exactIdx, i)
-			q.exactVal = append(q.exactVal, s.min)
-		case s.count:
-			q.exactIdx = append(q.exactIdx, i)
-			q.exactVal = append(q.exactVal, s.max)
-		}
-		q.tgts[i] = r
-		q.idx[i] = i
-	}
-	sortTargets(q.tgts, q.idx, &q.sorter)
-	selectInMergeScratch(views, q.tgts, q.picked, &s.merge)
-	out := make([]float64, n)
-	for i, t := range q.idx {
-		out[t] = q.picked[i]
-	}
-	for j, i := range q.exactIdx {
-		out[i] = q.exactVal[j]
-	}
-	return out, nil
+	return s.qry.quantiles([]*Sketch{s}, phis)
 }
 
 // insertionSortMax is the phi count above which sortTargets defers to the
@@ -499,55 +454,10 @@ func growFloat64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// outputViews assembles the OUTPUT operands: the full buffers plus, if an
-// input buffer is mid-fill, a sorted weight-1 copy of it at its own length.
-// Every slot then stands for exactly its weight in real elements, so the
-// weighted merge has exactly Count slots and rank r sits at position r. The
-// paper instead pads the partial buffer to k with equal numbers of -Inf and
-// +Inf sentinels and transposes phi to phi' = (2*phi + beta - 1)/(2*beta);
-// that shifts every real position up by the same number of -Inf slots, so
-// both forms select the same elements. The returned views alias per-sketch
-// scratch and live buffer data: they are valid until the next mutation or
-// query.
-func (s *Sketch) outputViews() ([]Weighted, error) {
-	if s.count == 0 {
-		return nil, ErrEmpty
-	}
-	views := s.qry.views[:0]
-	for _, b := range s.bufs {
-		if b.full {
-			views = append(views, Weighted{Data: b.data, Weight: b.weight})
-		}
-	}
-	if s.fill != nil && len(s.fill.data) > 0 {
-		views = append(views, Weighted{Data: s.sortedFill(), Weight: 1})
-	}
-	s.qry.views = views
-	return views, nil
-}
-
-// sortedFill returns the sorted copy of the mid-fill buffer, (re)building
-// it only when the sketch has mutated since the last query: repeated reads
-// between Adds sort the partial buffer once, not per query.
-func (s *Sketch) sortedFill() []float64 {
-	if s.qry.fillGen != s.gen {
-		if n := len(s.fill.data); cap(s.qry.fill) < n {
-			// Grow geometrically, never past the k elements a fill holds.
-			s.qry.fill = make([]float64, 0, min(2*n, s.k))
-		}
-		s.qry.fill = append(s.qry.fill[:0], s.fill.data...)
-		sortFloats(s.qry.fill)
-		s.qry.fillGen = s.gen
-	}
-	return s.qry.fill
-}
-
 // FinalBuffersRaw returns copies of the buffers that would feed OUTPUT right
 // now: the full buffers plus the partial fill buffer as a short sorted
 // weight-1 buffer, so the weighted merge has exactly Count slots (see
-// outputViews). This is the exchange format for the parallel
-// root-combination phase of Section 4.9: concatenate the final buffers of
-// all partitions and run a single OUTPUT selection across them.
+// appendViews). The copies stay valid while the sketch keeps changing.
 func (s *Sketch) FinalBuffersRaw() ([]Weighted, error) {
 	if s.count == 0 {
 		return nil, ErrEmpty
@@ -571,26 +481,29 @@ func (s *Sketch) FinalBuffersRaw() ([]Weighted, error) {
 
 // ErrorBound returns the a-posteriori Lemma 5 guarantee on the rank error
 // of any quantile reported by Quantiles, in absolute ranks:
-// (W - C - 1)/2 + wmax, where C and W account for the collapses that have
-// actually happened and wmax is the heaviest buffer that would feed OUTPUT.
-// Divide by Count for the epsilon it certifies.
-func (s *Sketch) ErrorBound() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	var wmax int64
-	for _, b := range s.bufs {
-		if b.full && b.weight > wmax {
-			wmax = b.weight
+// (W - C - 1)/2 + wmax + A/2, where C and W account for the collapses that
+// have actually happened, A for the absorbs, and wmax is the heaviest
+// buffer that would feed OUTPUT. It is the one-sketch case of the
+// package-level ErrorBound. Divide by Count for the epsilon it certifies.
+func (s *Sketch) ErrorBound() float64 { return ErrorBound([]*Sketch{s}) }
+
+// Clone returns an independent deep copy of s: same answers, bound and
+// future collapse schedule. Only the buffers holding data get arrays, each
+// at its own length; a partial buffer grows to k when filling resumes.
+func (s *Sketch) Clone() *Sketch {
+	c := *s
+	c.runner, _ = s.policy.runner() // s's policy is valid
+	c.bufs = make([]*buffer, len(s.bufs))
+	c.fill = nil
+	c.scratchW = make([]Weighted, 0, s.b)
+	c.qry = queryScratch{}
+	for i, b := range s.bufs {
+		nb := *b
+		nb.data = append([]float64(nil), b.data...)
+		c.bufs[i] = &nb
+		if b == s.fill {
+			c.fill = &nb
 		}
 	}
-	if s.fill != nil && len(s.fill.data) > 0 && wmax < 1 {
-		wmax = 1
-	}
-	bound := float64(s.stats.WeightSum-s.stats.Collapses-1)/2 + float64(wmax) +
-		float64(s.stats.Absorbs)/2
-	if bound < 0 {
-		return 0
-	}
-	return bound
+	return &c
 }

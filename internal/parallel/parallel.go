@@ -9,8 +9,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"mrl/internal/core"
@@ -24,11 +22,9 @@ type Result struct {
 	Values []float64
 	// Count is the total number of elements consumed across partitions.
 	Count int64
-	// ErrorBound is the worst-case rank error of the combined OUTPUT: the
-	// Lemma 5 telescoping applied to the forest of partition trees hanging
-	// off one virtual root. With P partitions it evaluates to
-	// (W - C + P - 2)/2 + wmax + A/2 over the pooled collapse statistics,
-	// where A counts the absorbs the partitions carry.
+	// ErrorBound is the worst-case rank error of the combined OUTPUT:
+	// core.ErrorBound, the Lemma 5 telescoping applied to the forest of
+	// partition trees hanging off one virtual root.
 	ErrorBound float64
 	// Workers is the number of partitions processed.
 	Workers int
@@ -72,126 +68,35 @@ func Quantiles(sources []stream.Source, b, k int, policy core.Policy, phis []flo
 	return Combine(sketches, phis)
 }
 
-// Snapshot is a frozen, self-contained view of one sketch: deep copies of
-// the buffers that would feed OUTPUT plus the accounting the combined
-// Lemma 5 bound needs. Because a snapshot owns its data it stays valid while
-// the source sketch keeps absorbing input, which is what lets the combine
-// step run against live, concurrently written sketches (quantile.Concurrent)
-// and not only against statically partitioned stream.Sources.
-type Snapshot struct {
-	// Views holds the final buffers (sorted runs with weights). Empty for a
-	// sketch that has consumed nothing.
-	Views []core.Weighted
-	// Count is the number of elements the sketch had consumed.
-	Count int64
-	// Stats is the sketch's collapse accounting at snapshot time.
-	Stats core.Stats
-}
-
-// Snap freezes the current state of s. A sketch that has consumed no input
-// yields the zero Snapshot, which CombineSnapshots skips.
-func Snap(s *core.Sketch) Snapshot {
-	if s.Count() == 0 {
-		return Snapshot{}
-	}
-	views, err := s.FinalBuffersRaw()
-	if err != nil {
-		// FinalBuffersRaw only errors on an empty sketch, guarded above.
-		return Snapshot{}
-	}
-	return Snapshot{Views: views, Count: s.Count(), Stats: s.Stats()}
-}
-
-// CombineSnapshots runs the final OUTPUT phase of Section 4.9 over frozen
-// sketch states: the weighted merge of every snapshot's final buffers is
-// selected at the requested ranks, and the pooled collapse statistics give
-// the combined worst-case rank error. Empty snapshots are skipped; at least
-// one snapshot must hold data.
-func CombineSnapshots(snaps []Snapshot, phis []float64) (Result, error) {
-	if len(snaps) == 0 {
-		return Result{}, errors.New("parallel: no snapshots")
-	}
-	var views []core.Weighted
-	var count int64
-	workers := 0
-	for _, sn := range snaps {
-		if sn.Count == 0 {
-			continue
-		}
-		views = append(views, sn.Views...)
-		count += sn.Count
-		workers++
-	}
-	if count == 0 {
-		return Result{}, core.ErrEmpty
-	}
-	values, err := selectQuantiles(views, phis, count)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Values:     values,
-		Count:      count,
-		ErrorBound: CombinedBound(snaps),
-		Workers:    workers,
-	}, nil
-}
-
-// CombinedBound evaluates the combined Lemma 5 certificate of the snapshots
-// without selecting any quantiles: the telescoping applied to the forest of
-// partition trees hanging off one virtual root, (W - C + P - 2)/2 + wmax +
-// A/2 over the pooled collapse statistics of the P non-empty snapshots. A
-// is their pooled Absorbs, which core.Sketch.ErrorBound charges 1/2 rank
-// each (core.Stats), so a combine never certifies less than its parts do.
-func CombinedBound(snaps []Snapshot) float64 {
-	var sumW, sumC, sumA, wmax int64
-	workers := 0
-	for _, sn := range snaps {
-		if sn.Count == 0 {
-			continue
-		}
-		sumW += sn.Stats.WeightSum
-		sumC += sn.Stats.Collapses
-		sumA += sn.Stats.Absorbs
-		workers++
-		for _, v := range sn.Views {
-			if v.Weight > wmax {
-				wmax = v.Weight
-			}
-		}
-	}
-	if workers == 0 {
-		return 0
-	}
-	bound := float64(sumW-sumC+int64(workers)-2)/2 + float64(wmax) + float64(sumA)/2
-	if bound < 0 {
-		bound = 0
-	}
-	return bound
-}
-
 // Combine runs the final OUTPUT phase over the final buffers of
-// independently built sketches: the root-concatenation step of Section 4.9.
-// Empty sketches are skipped; at least one sketch must hold data. Combine is
-// a convenience over Snap + CombineSnapshots for callers that own the
-// sketches outright; callers combining live sketches should Snap each one
-// under its own lock and call CombineSnapshots.
+// independently built sketches: the root-concatenation step of Section 4.9,
+// through core's one OUTPUT for one sketch or many. Empty sketches are
+// skipped; at least one sketch must hold data.
 func Combine(sketches []*core.Sketch, phis []float64) (Result, error) {
 	if len(sketches) == 0 {
 		return Result{}, errors.New("parallel: no sketches")
 	}
-	snaps := make([]Snapshot, len(sketches))
-	for i, s := range sketches {
-		snaps[i] = Snap(s)
+	values, err := core.Quantiles(sketches, phis)
+	if err != nil {
+		return Result{}, err
 	}
-	return CombineSnapshots(snaps, phis)
+	res := Result{Values: values, ErrorBound: core.ErrorBound(sketches)}
+	for _, s := range sketches {
+		if s.Count() > 0 {
+			res.Count += s.Count()
+			res.Workers++
+		}
+	}
+	return res, nil
 }
 
 // TwoStage is the high-parallelism variant of Section 4.9: node roots are
 // grouped, each group's buffers collapse into one summary buffer of
 // groupKeep elements, and the final OUTPUT runs over the group summaries.
-// Each group collapse adds at most half its weight to the error bound,
-// which TwoStage accounts for in the returned ErrorBound.
+// A final-stage answer's position in the one-stage merge of every node's
+// buffers is off by less than the summaries' slot weights plus the heaviest
+// one, so the returned ErrorBound is the one-stage bound plus twice each
+// summary's slot weight.
 func TwoStage(sketches []*core.Sketch, groupSize, groupKeep int, phis []float64) (Result, error) {
 	if len(sketches) == 0 {
 		return Result{}, errors.New("parallel: no sketches")
@@ -202,127 +107,69 @@ func TwoStage(sketches []*core.Sketch, groupSize, groupKeep int, phis []float64)
 	if groupKeep < 1 {
 		return Result{}, fmt.Errorf("parallel: group keep %d must be positive", groupKeep)
 	}
-	var groupViews []core.Weighted
-	var count, sumW, sumC int64
-	var extra float64 // bound contribution of the group collapses
-	workers := 0
-
+	var summaries []core.Weighted
+	var res Result
+	var lo, hi float64
 	for start := 0; start < len(sketches); start += groupSize {
-		end := start + groupSize
-		if end > len(sketches) {
-			end = len(sketches)
+		group := sketches[start:min(start+groupSize, len(sketches))]
+		summary, err := collapseGroup(group, groupKeep)
+		if errors.Is(err, core.ErrEmpty) {
+			continue
 		}
-		var views []core.Weighted
-		for _, s := range sketches[start:end] {
+		if err != nil {
+			return Result{}, err
+		}
+		summaries = append(summaries, summary)
+		res.ErrorBound += 2 * float64(summary.Weight)
+		for _, s := range group {
 			if s.Count() == 0 {
 				continue
 			}
-			v, err := s.FinalBuffersRaw()
-			if err != nil {
-				return Result{}, err
+			mn, _ := s.Min() // non-empty, so no error
+			mx, _ := s.Max()
+			if res.Count == 0 || mn < lo {
+				lo = mn
 			}
-			views = append(views, v...)
-			count += s.Count()
-			st := s.Stats()
-			sumW += st.WeightSum
-			sumC += st.Collapses
-			workers++
+			if res.Count == 0 || mx > hi {
+				hi = mx
+			}
+			res.Count += s.Count()
+			res.Workers++
 		}
-		if len(views) == 0 {
-			continue
-		}
-		merged, loss := collapseViews(views, groupKeep)
-		extra += loss
-		groupViews = append(groupViews, merged)
 	}
-	if count == 0 {
+	if res.Count == 0 {
 		return Result{}, core.ErrEmpty
 	}
-	var wmax int64
-	for _, v := range groupViews {
-		if v.Weight > wmax {
-			wmax = v.Weight
-		}
-	}
-	values, err := selectQuantiles(groupViews, phis, count)
+	values, err := core.SelectQuantiles(summaries, res.Count, lo, hi, phis)
 	if err != nil {
 		return Result{}, err
 	}
-	bound := float64(sumW-sumC+int64(workers)-2)/2 + float64(wmax) + extra
-	if bound < 0 {
-		bound = 0
-	}
-	return Result{Values: values, Count: count, ErrorBound: bound, Workers: workers}, nil
+	res.Values = values
+	res.ErrorBound += core.ErrorBound(sketches)
+	return res, nil
 }
 
-// collapseViews merges weighted buffers into a single buffer of keep
-// equally spaced elements (a COLLAPSE across partition roots). It returns
-// the merged buffer and a safe overestimate of the rank slack the step
-// introduces: a collapse whose output slots weigh w loses at most
-// w - offset < w ranks of definitely-small/large evidence (Section 4.2),
-// plus at most w for the ceil rounding of w itself.
-func collapseViews(views []core.Weighted, keep int) (core.Weighted, float64) {
-	total := core.TotalWeight(views) // weighted slots across the group
-	if total == 0 {
-		return core.Weighted{Data: nil, Weight: 0}, 0
+// collapseGroup is a COLLAPSE across a group's node roots: keep equally
+// spaced answers of the group's combined OUTPUT, at positions j*w + offset
+// of its merge, each standing for w = ceil(total/keep) elements.
+func collapseGroup(group []*core.Sketch, keep int) (core.Weighted, error) {
+	var total int64
+	for _, s := range group {
+		total += s.Count()
 	}
-	// Per-slot weight of the output: spread total over keep slots. Round
-	// up so keep*weight >= total; the selection positions stay inside.
+	if total == 0 {
+		return core.Weighted{}, core.ErrEmpty
+	}
 	w := (total + int64(keep) - 1) / int64(keep)
 	offset := (w + 1) / 2
-	targets := make([]int64, keep)
-	for j := 0; j < keep; j++ {
-		pos := int64(j)*w + offset
-		if pos > total {
-			pos = total
-		}
-		targets[j] = pos
+	phis := make([]float64, keep)
+	for j := range phis {
+		// Half a rank below the position, ceil(phi*total) lands on it
+		// exactly whatever the float rounding.
+		phis[j] = (float64(min(int64(j)*w+offset, total)) - 0.5) / float64(total)
 	}
-	data := core.SelectInMerge(views, targets)
-	// Strip any NaNs from degenerate tiny groups (cannot happen when
-	// total >= 1, but keep the output well formed regardless).
-	clean := data[:0]
-	for _, v := range data {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	sort.Float64s(clean)
-	return core.Weighted{Data: clean, Weight: w}, 2 * float64(w)
-}
-
-// selectQuantiles maps phis onto positions of the weighted merge of views,
-// whose slots stand for exactly count real elements, and selects them.
-func selectQuantiles(views []core.Weighted, phis []float64, count int64) ([]float64, error) {
-	type tgt struct {
-		pos int64
-		idx int
-	}
-	tgts := make([]tgt, len(phis))
-	for i, phi := range phis {
-		if phi < 0 || phi > 1 || math.IsNaN(phi) {
-			return nil, fmt.Errorf("parallel: phi %v outside [0,1]", phi)
-		}
-		r := int64(math.Ceil(phi * float64(count)))
-		if r < 1 {
-			r = 1
-		}
-		if r > count {
-			r = count
-		}
-		tgts[i] = tgt{pos: r, idx: i}
-	}
-	sort.Slice(tgts, func(i, j int) bool { return tgts[i].pos < tgts[j].pos })
-	positions := make([]int64, len(tgts))
-	for i, t := range tgts {
-		positions[i] = t.pos
-	}
-	picked := core.SelectInMerge(views, positions)
-	out := make([]float64, len(phis))
-	for i, t := range tgts {
-		out[t.idx] = picked[i]
-	}
-	return out, nil
+	data, err := core.Quantiles(group, phis)
+	return core.Weighted{Data: data, Weight: w}, err
 }
 
 // Partition splits a materialised dataset into p contiguous chunks wrapped

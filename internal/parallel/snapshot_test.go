@@ -9,11 +9,12 @@ import (
 	"mrl/internal/stream"
 )
 
-// TestCombineSnapshotsMatchesCombine: freezing sketches first must give
-// exactly the result of combining them directly.
+// TestCombineSnapshotsMatchesCombine: combining frozen copies (core.Sketch
+// Clones, what a caller that cannot hold its sketches still combines) gives
+// exactly the result of combining the sketches directly.
 func TestCombineSnapshotsMatchesCombine(t *testing.T) {
 	data := shuffledData(20000, 11)
-	phis := []float64{0.1, 0.5, 0.9}
+	phis := []float64{0, 0.1, 0.5, 0.9, 1}
 	sketches := make([]*core.Sketch, 4)
 	parts := Partition(data, len(sketches))
 	for i := range sketches {
@@ -30,25 +31,28 @@ func TestCombineSnapshotsMatchesCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := make([]Snapshot, len(sketches))
+	clones := make([]*core.Sketch, len(sketches))
 	for i, s := range sketches {
-		snaps[i] = Snap(s)
+		clones[i] = s.Clone()
 	}
-	frozen, err := CombineSnapshots(snaps, phis)
+	frozen, err := Combine(clones, phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frozen.Count != direct.Count || frozen.Workers != direct.Workers ||
 		frozen.ErrorBound != direct.ErrorBound {
-		t.Fatalf("snapshot combine %+v != direct %+v", frozen, direct)
+		t.Fatalf("clone combine %+v != direct %+v", frozen, direct)
 	}
 	for i := range phis {
 		if frozen.Values[i] != direct.Values[i] {
 			t.Fatalf("phi=%v: %v != %v", phis[i], frozen.Values[i], direct.Values[i])
 		}
 	}
-	if got := CombinedBound(snaps); got != direct.ErrorBound {
-		t.Fatalf("CombinedBound = %v, want %v", got, direct.ErrorBound)
+	if direct.Values[0] != 1 || direct.Values[len(phis)-1] != 20000 {
+		t.Fatalf("phi 0 and 1 answered %v and %v, want the exact extremes 1 and 20000", direct.Values[0], direct.Values[len(phis)-1])
+	}
+	if got := core.ErrorBound(sketches); got != direct.ErrorBound {
+		t.Fatalf("core.ErrorBound = %v, want %v", got, direct.ErrorBound)
 	}
 }
 
@@ -76,20 +80,16 @@ func TestCombinedBoundChargesAbsorbs(t *testing.T) {
 		}
 	}
 	own := s.ErrorBound()
-	snaps := []Snapshot{Snap(s)}
-	if got := CombinedBound(snaps); got < own {
-		t.Fatalf("CombinedBound = %v, below the part's own ErrorBound %v", got, own)
-	}
-	res, err := CombineSnapshots(snaps, []float64{0.5})
+	res, err := Combine([]*core.Sketch{s}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ErrorBound < own {
-		t.Fatalf("CombineSnapshots bound = %v, below the part's own ErrorBound %v", res.ErrorBound, own)
+		t.Fatalf("Combine bound = %v, below the part's own ErrorBound %v", res.ErrorBound, own)
 	}
 }
 
-// TestSnapshotIsFrozen: a snapshot must stay valid and unchanged while the
+// TestSnapshotIsFrozen: a clone must stay valid and unchanged while the
 // source sketch keeps absorbing input — the property concurrent readers
 // depend on.
 func TestSnapshotIsFrozen(t *testing.T) {
@@ -100,34 +100,31 @@ func TestSnapshotIsFrozen(t *testing.T) {
 	if err := s.AddSlice(shuffledData(5000, 12)); err != nil {
 		t.Fatal(err)
 	}
-	snap := Snap(s)
-	before, err := CombineSnapshots([]Snapshot{snap}, []float64{0.5})
+	snap := s.Clone()
+	before, err := Combine([]*core.Sketch{snap}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep feeding the live sketch; the frozen view must not move.
+	// Keep feeding the live sketch; the frozen copy must not move.
 	if err := s.AddSlice(shuffledData(5000, 13)); err != nil {
 		t.Fatal(err)
 	}
-	after, err := CombineSnapshots([]Snapshot{snap}, []float64{0.5})
+	after, err := Combine([]*core.Sketch{snap}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before.Values[0] != after.Values[0] || before.Count != after.Count ||
 		before.ErrorBound != after.ErrorBound {
-		t.Fatalf("snapshot drifted: before %+v, after %+v", before, after)
+		t.Fatalf("clone drifted: before %+v, after %+v", before, after)
 	}
 }
 
-// TestSnapEmptySketch: an empty sketch snapshots to the zero value and is
-// skipped by the combiner.
+// TestSnapEmptySketch: an empty sketch is skipped by the combiner, and a
+// combine of empty sketches only is ErrEmpty.
 func TestSnapEmptySketch(t *testing.T) {
 	empty, err := core.NewSketch(3, 8, core.PolicyNew)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sn := Snap(empty); sn.Count != 0 || len(sn.Views) != 0 {
-		t.Fatalf("empty snapshot not zero: %+v", sn)
 	}
 	full, err := core.NewSketch(3, 8, core.PolicyNew)
 	if err != nil {
@@ -136,14 +133,14 @@ func TestSnapEmptySketch(t *testing.T) {
 	if err := full.AddSlice([]float64{3, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := CombineSnapshots([]Snapshot{Snap(empty), Snap(full)}, []float64{0.5})
+	res, err := Combine([]*core.Sketch{empty, full}, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Workers != 1 || res.Count != 3 || res.Values[0] != 2 {
 		t.Fatalf("res = %+v", res)
 	}
-	if _, err := CombineSnapshots([]Snapshot{Snap(empty)}, []float64{0.5}); err != core.ErrEmpty {
+	if _, err := Combine([]*core.Sketch{empty.Clone()}, []float64{0.5}); err != core.ErrEmpty {
 		t.Fatalf("all-empty combine: err = %v, want ErrEmpty", err)
 	}
 }

@@ -206,11 +206,14 @@ type Registry struct {
 	// an explicit backend run it.
 	defaultBackend quantile.Backend
 
-	// metrics is an immutable snapshot swapped atomically on every create,
-	// so the per-batch lookup on the ingest hot path is a lock-free load;
-	// mu serialises writers (metric creation) only.
+	// metrics maps each name to its *metric. A sync.Map keeps the
+	// per-batch lookup on the ingest hot path lock-free once a metric is
+	// known and makes a creation cost O(1) amortised, whatever the metric
+	// count; mu serialises creators so a metric is built once, and n counts
+	// what they stored.
 	mu      sync.Mutex
-	metrics atomic.Pointer[map[string]*metric]
+	metrics sync.Map
+	n       atomic.Int64
 
 	// pool drains the per-metric apply queues; see applyqueue.go.
 	pool *applyPool
@@ -252,8 +255,6 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		pool:           newApplyPool(workers, depth, cfg.ApplyShed),
 		sessions:       newSessionTable(sessionTableMax),
 	}
-	empty := make(map[string]*metric)
-	r.metrics.Store(&empty)
 	return r, nil
 }
 
@@ -278,7 +279,17 @@ func validateMetricName(name string) error {
 }
 
 func (r *Registry) get(name string) *metric {
-	return (*r.metrics.Load())[name]
+	v, _ := r.metrics.Load(name)
+	m, _ := v.(*metric) // nil when absent
+	return m
+}
+
+// each calls fn for every registered metric.
+func (r *Registry) each(fn func(*metric)) {
+	r.metrics.Range(func(_, m any) bool {
+		fn(m.(*metric))
+		return true
+	})
 }
 
 func (r *Registry) getOrCreate(name string) (*metric, error) {
@@ -311,8 +322,7 @@ func (r *Registry) getOrCreateBackend(name string, b quantile.Backend) (*metric,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := *r.metrics.Load()
-	if m := old[name]; m != nil {
+	if m := r.get(name); m != nil {
 		if m.backend != b {
 			return nil, fmt.Errorf("%w: %q runs %q, requested %q", ErrBackendMismatch, name, m.backend, b)
 		}
@@ -323,14 +333,8 @@ func (r *Registry) getOrCreateBackend(name string, b quantile.Backend) (*metric,
 		return nil, err
 	}
 	m.q.init(r.pool)
-	// Copy-on-write: readers keep their snapshot, the next lookup sees the
-	// new metric.
-	next := make(map[string]*metric, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = m
-	r.metrics.Store(&next)
+	r.metrics.Store(name, m)
+	r.n.Add(1)
 	return m, nil
 }
 
@@ -366,16 +370,13 @@ func (r *Registry) Backend(name string) quantile.Backend {
 
 // Len returns the number of registered metrics.
 func (r *Registry) Len() int {
-	return len(*r.metrics.Load())
+	return int(r.n.Load())
 }
 
 // Names returns the registered metric names, sorted.
 func (r *Registry) Names() []string {
-	snap := *r.metrics.Load()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
+	names := make([]string, 0, r.Len())
+	r.each(func(m *metric) { names = append(names, m.name) })
 	sort.Strings(names)
 	return names
 }
@@ -631,9 +632,7 @@ func (r *Registry) EnqueueReplay(name string, vs []float64) error {
 // drainAll blocks until every queued batch in every metric is applied — the
 // barrier checkpoints and recovery run.
 func (r *Registry) drainAll() {
-	for _, m := range *r.metrics.Load() {
-		m.q.drain(m)
-	}
+	r.each(func(m *metric) { m.q.drain(m) })
 }
 
 // Rotate tumbles the named metric's window ring: the current window is
@@ -766,11 +765,11 @@ func (r *Registry) QuantilesCached(name, rawKey string, phis []float64, windowed
 // CacheStatus reports the query-cache hit/miss counters and the number of
 // live entries across all metrics.
 func (r *Registry) CacheStatus() (hits, misses uint64, entries int) {
-	for _, m := range *r.metrics.Load() {
+	r.each(func(m *metric) {
 		m.cacheMu.Lock()
 		entries += len(m.cache)
 		m.cacheMu.Unlock()
-	}
+	})
 	return r.cacheHits.Load(), r.cacheMisses.Load(), entries
 }
 
@@ -959,9 +958,7 @@ type ApplyStatus struct {
 func (r *Registry) ApplyStatus() ApplyStatus {
 	p := r.pool
 	var pending uint64
-	for _, m := range *r.metrics.Load() {
-		pending += m.q.pending()
-	}
+	r.each(func(m *metric) { pending += m.q.pending() })
 	applied := p.appliedBatches.Load()
 	coalesced := p.coalescedBatches.Load()
 	st := ApplyStatus{

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -201,5 +203,41 @@ func TestRegistryRotateAllSkipsAndEvicts(t *testing.T) {
 	}
 	if st.Window.Rotations != 3 {
 		t.Fatalf("rotations = %d", st.Window.Rotations)
+	}
+}
+
+// TestMetricCreationCostFlat: creating a metric costs the same whatever
+// the registry already holds. A copy-on-write map copies every existing
+// entry per creation, so the 10,000 creations after the first 10,000
+// allocate several times what the first 10,000 do; one insert each keeps
+// the two halves level.
+func TestMetricCreationCostFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are skipped under the race detector")
+	}
+	reg, err := NewRegistry(Config{Epsilon: 0.05, N: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	const half = 10_000
+	create := func(from int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := from; i < from+half; i++ {
+			if err := reg.Ensure(fmt.Sprintf("m%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := create(0), create(half)
+	if reg.Len() != 2*half {
+		t.Fatalf("Len = %d, want %d", reg.Len(), 2*half)
+	}
+	t.Logf("per creation: %d B over metrics 0-%d, %d B over %d-%d", first/half, half, second/half, half, 2*half)
+	if float64(second) > 1.5*float64(first) {
+		t.Fatalf("creations %d-%d allocated %d B, over 1.5x the %d B of the first %d", half, 2*half, second, first, half)
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"hash/crc32"
 	"math"
 	"net/http"
+
+	"mrl/quantile"
 )
 
 // MRLS — the node→coordinator snapshot-transfer format cluster mode speaks.
 //
 // A snapshot document is the complete all-time estimator state of one
-// metric on one node, frozen as transferable parts:
+// metric on one node, frozen as transferable parts
+// (quantile.EstimatorSnapshot):
 //
 //	prologue: 'M' 'R' 'L' 'S' version(=1) 0 0 0
 //	frames:   zero or more part frames
@@ -43,22 +46,13 @@ const (
 	snapPartHeaderLen = 16
 )
 
-// SnapshotPart is one decoded part of a snapshot document: a single
-// estimator's state in transit. It mirrors quantile.EstimatorSnapshot with
-// the backend as a plain wire string.
-type SnapshotPart struct {
-	Backend string
-	Count   int64
-	Blob    []byte
-}
-
 // AppendSnapshotPrologue appends the 8-byte MRLS prologue.
 func AppendSnapshotPrologue(buf []byte) []byte {
 	return append(buf, snapMagic[0], snapMagic[1], snapMagic[2], snapMagic[3], snapVersion, 0, 0, 0)
 }
 
 // EncodeSnapshot serialises parts as one canonical MRLS document.
-func EncodeSnapshot(parts []SnapshotPart) ([]byte, error) {
+func EncodeSnapshot(parts []quantile.EstimatorSnapshot) ([]byte, error) {
 	size := snapPrologueLen
 	for _, p := range parts {
 		size += binFrameHeaderLen + snapPartHeaderLen + len(p.Backend) + len(p.Blob) + 7
@@ -94,8 +88,9 @@ func EncodeSnapshot(parts []SnapshotPart) ([]byte, error) {
 // DecodeSnapshot parses a complete MRLS document. It never panics on
 // arbitrary input and accepts only the canonical form — any torn frame,
 // CRC mismatch, nonzero reserved/pad byte, inexact length, or trailing
-// garbage is an ErrBadFrame.
-func DecodeSnapshot(b []byte) ([]SnapshotPart, error) {
+// garbage is an ErrBadFrame, and so is a backend tag quantile.ParseBackend
+// does not accept as written.
+func DecodeSnapshot(b []byte) ([]quantile.EstimatorSnapshot, error) {
 	if len(b) < snapPrologueLen {
 		return nil, fmt.Errorf("%w: torn snapshot prologue (%d bytes)", ErrBadFrame, len(b))
 	}
@@ -109,7 +104,7 @@ func DecodeSnapshot(b []byte) ([]SnapshotPart, error) {
 		return nil, err
 	}
 	b = b[snapPrologueLen:]
-	var parts []SnapshotPart
+	var parts []quantile.EstimatorSnapshot
 	for len(b) > 0 {
 		if len(b) < binFrameHeaderLen {
 			return nil, fmt.Errorf("%w: torn snapshot frame header (%d bytes)", ErrBadFrame, len(b))
@@ -136,37 +131,43 @@ func DecodeSnapshot(b []byte) ([]SnapshotPart, error) {
 }
 
 // parseSnapshotPart decodes one CRC-verified part payload.
-func parseSnapshotPart(p []byte) (SnapshotPart, error) {
+func parseSnapshotPart(p []byte) (quantile.EstimatorSnapshot, error) {
+	var none quantile.EstimatorSnapshot
 	if len(p) < snapPartHeaderLen {
-		return SnapshotPart{}, fmt.Errorf("%w: short snapshot part payload", ErrBadFrame)
+		return none, fmt.Errorf("%w: short snapshot part payload", ErrBadFrame)
 	}
 	if p[0] != snapFramePart {
-		return SnapshotPart{}, fmt.Errorf("%w: unknown snapshot frame type %d", ErrBadFrame, p[0])
+		return none, fmt.Errorf("%w: unknown snapshot frame type %d", ErrBadFrame, p[0])
 	}
 	backendLen := int(p[1])
 	if backendLen == 0 {
-		return SnapshotPart{}, fmt.Errorf("%w: empty snapshot backend", ErrBadFrame)
+		return none, fmt.Errorf("%w: empty snapshot backend", ErrBadFrame)
 	}
 	if err := checkZero(p[2:4], "snapshot part reserved"); err != nil {
-		return SnapshotPart{}, err
+		return none, err
 	}
 	blobLen := int(binary.LittleEndian.Uint32(p[4:]))
 	if blobLen == 0 {
-		return SnapshotPart{}, fmt.Errorf("%w: empty snapshot blob", ErrBadFrame)
+		return none, fmt.Errorf("%w: empty snapshot blob", ErrBadFrame)
 	}
 	count := binary.LittleEndian.Uint64(p[8:])
 	if count == 0 || count > math.MaxInt64 {
-		return SnapshotPart{}, fmt.Errorf("%w: snapshot count %d out of range", ErrBadFrame, count)
+		return none, fmt.Errorf("%w: snapshot count %d out of range", ErrBadFrame, count)
 	}
 	raw := snapPartHeaderLen + backendLen + blobLen
 	if len(p) != raw+pad8(raw) {
-		return SnapshotPart{}, fmt.Errorf("%w: snapshot part length %d does not match declared %d", ErrBadFrame, len(p), raw)
+		return none, fmt.Errorf("%w: snapshot part length %d does not match declared %d", ErrBadFrame, len(p), raw)
 	}
 	if err := checkZero(p[raw:], "snapshot part pad"); err != nil {
-		return SnapshotPart{}, err
+		return none, err
 	}
-	return SnapshotPart{
-		Backend: string(p[snapPartHeaderLen : snapPartHeaderLen+backendLen]),
+	tag := string(p[snapPartHeaderLen : snapPartHeaderLen+backendLen])
+	backend, err := quantile.ParseBackend(tag)
+	if err != nil || string(backend) != tag {
+		return none, fmt.Errorf("%w: snapshot backend %q", ErrBadFrame, tag)
+	}
+	return quantile.EstimatorSnapshot{
+		Backend: backend,
 		Count:   int64(count),
 		Blob:    append([]byte(nil), p[snapPartHeaderLen+backendLen:raw]...),
 	}, nil
@@ -177,7 +178,7 @@ func parseSnapshotPart(p []byte) (SnapshotPart, error) {
 // every query path runs. An existing metric with no data returns zero
 // parts; an unknown metric returns ErrUnknownMetric, so a coordinator can
 // tell "empty here" from "never heard of it" from "unreachable".
-func (r *Registry) SnapshotParts(name string) ([]SnapshotPart, error) {
+func (r *Registry) SnapshotParts(name string) ([]quantile.EstimatorSnapshot, error) {
 	m := r.get(name)
 	if m == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMetric, name)
@@ -187,7 +188,7 @@ func (r *Registry) SnapshotParts(name string) ([]SnapshotPart, error) {
 	if err != nil || s.Count == 0 {
 		return nil, err
 	}
-	return []SnapshotPart{{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob}}, nil
+	return []quantile.EstimatorSnapshot{s}, nil
 }
 
 // handleSnapshot serves GET /snapshot?metric=name: the metric's complete

@@ -12,13 +12,13 @@ import (
 
 // testSnapshotParts snapshots three summaries, each over a third of one
 // stream, as a coordinator collects them from three nodes.
-func testSnapshotParts(t *testing.T) []SnapshotPart {
+func testSnapshotParts(t *testing.T) []quantile.EstimatorSnapshot {
 	t.Helper()
 	vs := make([]float64, 2000)
 	for i := range vs {
 		vs[i] = float64((i*7919)%2000 + 1)
 	}
-	parts := make([]SnapshotPart, 3)
+	parts := make([]quantile.EstimatorSnapshot, 3)
 	for i := range parts {
 		e, err := quantile.NewEstimator(quantile.BackendMRL, quantile.Config{Epsilon: 0.01, N: 10_000, Seed: 11})
 		if err != nil {
@@ -27,11 +27,9 @@ func testSnapshotParts(t *testing.T) []SnapshotPart {
 		if err := e.AddBatch(vs[i*len(vs)/3 : (i+1)*len(vs)/3]); err != nil {
 			t.Fatal(err)
 		}
-		s, err := quantile.SnapshotEstimator(e)
-		if err != nil {
+		if parts[i], err = quantile.SnapshotEstimator(e); err != nil {
 			t.Fatal(err)
 		}
-		parts[i] = SnapshotPart{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob}
 	}
 	return parts
 }
@@ -130,15 +128,13 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int64
-	snaps := make([]quantile.EstimatorSnapshot, len(parts))
-	for i, p := range parts {
+	for _, p := range parts {
 		total += p.Count
-		snaps[i] = quantile.EstimatorSnapshot{Backend: quantile.Backend(p.Backend), Count: p.Count, Blob: p.Blob}
 	}
 	if total != int64(len(vs)) {
 		t.Fatalf("snapshot covers %d elements, want %d", total, len(vs))
 	}
-	values, bound, count, err := quantile.CombineEstimatorSnapshots(snaps, []float64{0.5})
+	values, bound, count, err := quantile.CombineEstimatorSnapshots(parts, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +156,10 @@ func FuzzClusterSnapshotFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapMagic))
 	f.Add(AppendSnapshotPrologue(nil))
-	if doc, err := EncodeSnapshot([]SnapshotPart{{Backend: "mrl", Count: 3, Blob: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}); err == nil {
+	if doc, err := EncodeSnapshot([]quantile.EstimatorSnapshot{{Backend: "mrl", Count: 3, Blob: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}); err == nil {
 		f.Add(doc)
 	}
-	if doc, err := EncodeSnapshot([]SnapshotPart{
+	if doc, err := EncodeSnapshot([]quantile.EstimatorSnapshot{
 		{Backend: "kll", Count: 1, Blob: []byte{9}},
 		{Backend: "weighted", Count: 1 << 40, Blob: bytes.Repeat([]byte{0xaa}, 17)},
 	}); err == nil {

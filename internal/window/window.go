@@ -8,10 +8,10 @@
 package window
 
 import (
+	"errors"
 	"fmt"
 
 	"mrl/internal/core"
-	"mrl/internal/parallel"
 	"mrl/internal/params"
 )
 
@@ -121,22 +121,19 @@ func (r *Ring) HeldElements() int64 {
 }
 
 // Quantiles answers quantiles over the union of all live windows, with the
-// combined Section 4.9 error bound (in ranks over the union's Count).
+// combined Section 4.9 error bound (in ranks over the union's Count). The
+// windows are combined in place: the ring is not safe for concurrent use,
+// so nothing changes them during the call and no buffer is copied.
 func (r *Ring) Quantiles(phis []float64) (values []float64, errorBound float64, err error) {
-	live := make([]*core.Sketch, 0, len(r.windows))
-	for _, w := range r.windows {
-		if w != nil && w.Count() > 0 {
-			live = append(live, w)
-		}
+	live := r.windows[:r.filled] // windows start in slot order
+	values, err = core.Quantiles(live, phis)
+	if errors.Is(err, core.ErrEmpty) {
+		return nil, 0, fmt.Errorf("window: no data in any window: %w", err)
 	}
-	if len(live) == 0 {
-		return nil, 0, fmt.Errorf("window: no data in any window: %w", core.ErrEmpty)
-	}
-	res, err := parallel.Combine(live, phis)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res.Values, res.ErrorBound, nil
+	return values, core.ErrorBound(live), nil
 }
 
 // Bound returns the combined Section 4.9 worst-case rank error (in ranks
@@ -144,13 +141,7 @@ func (r *Ring) Quantiles(phis []float64) (values []float64, errorBound float64, 
 // quantiles. It is exactly the errorBound Quantiles would report now; an
 // empty ring certifies 0.
 func (r *Ring) Bound() float64 {
-	snaps := make([]parallel.Snapshot, 0, len(r.windows))
-	for _, w := range r.windows {
-		if w != nil && w.Count() > 0 {
-			snaps = append(snaps, parallel.Snap(w))
-		}
-	}
-	return parallel.CombinedBound(snaps)
+	return core.ErrorBound(r.windows[:r.filled])
 }
 
 // WindowQuantile answers a quantile over the current window only.

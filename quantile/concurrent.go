@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"mrl/internal/core"
-	"mrl/internal/parallel"
 	"mrl/internal/params"
 )
 
@@ -254,20 +253,6 @@ func (c *Concurrent) forChunks(n int, add func(e Estimator, lo, hi int) error) e
 	return nil
 }
 
-// snapshots freezes every MRL shard in turn, each under its own lock. The
-// cut is per-shard atomic, not global: elements added concurrently with the
-// loop may or may not be included, which is the usual (and only meaningful)
-// read-during-write contract for a streaming summary.
-func (c *Concurrent) snapshots() []parallel.Snapshot {
-	snaps := make([]parallel.Snapshot, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		snaps[i] = parallel.Snap(sh.est.(*Sketch).det)
-		sh.mu.Unlock()
-	}
-	return snaps
-}
-
 // QuantilesWithBound answers many quantiles over the union of all shards in
 // one combined OUTPUT pass, returning the estimates parallel to phis and the
 // combined worst-case rank error certified for them (divide by Count for the
@@ -288,11 +273,22 @@ func (c *Concurrent) QuantilesWithBound(phis []float64) (values []float64, error
 		bound, _ := sealed.ErrorBound()
 		return values, bound, nil
 	}
-	res, err := parallel.CombineSnapshots(c.snapshots(), phis)
+	// Clone every MRL shard in turn under its own lock, so the combine
+	// runs while writers continue. The cut is per-shard atomic, not
+	// global: elements added concurrently with the loop may or may not be
+	// included, which is the usual (and only meaningful) read-during-write
+	// contract for a streaming summary.
+	clones := make([]*core.Sketch, len(c.shards))
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		clones[i] = sh.est.(*Sketch).det.Clone()
+		sh.mu.Unlock()
+	}
+	values, err = core.Quantiles(clones, phis)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res.Values, res.ErrorBound, nil
+	return values, core.ErrorBound(clones), nil
 }
 
 // Quantiles answers many quantiles in one combined pass; the result is
@@ -317,7 +313,9 @@ func (c *Concurrent) Median() (float64, error) { return c.Quantile(0.5) }
 
 // ErrorBound returns the current combined worst-case rank error of any
 // reported quantile, certified by the pooled Lemma 5 accounting of all
-// shards for the collapses that have actually happened.
+// shards for the collapses that have actually happened. On MRL it reads
+// the shards in place, holding every shard's lock for the O(b) read, and
+// copies no buffer.
 func (c *Concurrent) ErrorBound() float64 {
 	if c.backend != BackendMRL {
 		sealed, err := c.seal()
@@ -327,7 +325,16 @@ func (c *Concurrent) ErrorBound() float64 {
 		bound, _ := sealed.ErrorBound()
 		return bound
 	}
-	return parallel.CombinedBound(c.snapshots())
+	dets := make([]*core.Sketch, len(c.shards))
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		dets[i] = sh.est.(*Sketch).det
+	}
+	bound := core.ErrorBound(dets)
+	for _, sh := range c.shards {
+		sh.mu.Unlock()
+	}
+	return bound
 }
 
 // Count returns the number of stream elements consumed across all shards.

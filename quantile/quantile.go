@@ -34,7 +34,6 @@ import (
 	"math/rand"
 
 	"mrl/internal/core"
-	"mrl/internal/parallel"
 	"mrl/internal/params"
 	"mrl/internal/sampling"
 )
@@ -391,9 +390,11 @@ func (s *Sketch) Describe() string {
 
 // Combine answers quantiles over the union of the inputs of several
 // deterministic sketches (e.g. one per partition of a table), implementing
-// the final phase of the paper's parallel formulation (Section 4.9). It
-// returns the estimates parallel to phis and the combined worst-case rank
-// error. Sampled sketches cannot be combined.
+// the final phase of the paper's parallel formulation (Section 4.9): one
+// OUTPUT over the sketches' live buffers, so they must not change during
+// the call. It returns the estimates parallel to phis and the combined
+// worst-case rank error; phi 0 and 1 answer the exact pooled extremes.
+// Sampled sketches cannot be combined.
 func Combine(sketches []*Sketch, phis []float64) (values []float64, errorBound float64, err error) {
 	if len(sketches) == 0 {
 		return nil, 0, errors.New("quantile: no sketches to combine")
@@ -405,9 +406,9 @@ func Combine(sketches []*Sketch, phis []float64) (values []float64, errorBound f
 		}
 		cores[i] = s.det
 	}
-	res, err := parallel.Combine(cores, phis)
+	values, err = core.Quantiles(cores, phis)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res.Values, res.ErrorBound, nil
+	return values, core.ErrorBound(cores), nil
 }

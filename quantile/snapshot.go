@@ -3,8 +3,6 @@ package quantile
 import (
 	"errors"
 	"fmt"
-
-	"mrl/internal/parallel"
 )
 
 // EstimatorSnapshot is one frozen part of an estimator's state in
@@ -70,9 +68,9 @@ func RestoreEstimatorSnapshot(snap EstimatorSnapshot) (Estimator, error) {
 
 // CombineEstimatorSnapshots answers quantiles over the union of the given
 // snapshots — the coordinator's scatter/gather merge. All parts must share
-// one backend. For MRL the parts feed the §4.9 combined OUTPUT phase
-// directly, so the returned bound is the exact pooled Lemma 5 accounting
-// over every part; for the other backends the parts are absorbed into one
+// one backend. For MRL the restored parts feed the §4.9 combined OUTPUT
+// phase (Combine) directly, so the returned bound is the exact pooled Lemma
+// 5 accounting over every part; for the other backends the parts are absorbed into one
 // estimator and answered with its a-posteriori bound. It returns the
 // estimates parallel to phis, the combined rank-error bound, and the total
 // element count the answers cover; all-empty input returns ErrEmpty.
@@ -102,15 +100,16 @@ func CombineEstimatorSnapshots(snaps []EstimatorSnapshot, phis []float64) (value
 		ests[i] = e
 	}
 	if backend == BackendMRL || backend == "" {
-		parts := make([]parallel.Snapshot, len(ests))
+		parts := make([]*Sketch, len(ests))
 		for i, e := range ests {
-			parts[i] = parallel.Snap(e.(*Sketch).det)
+			parts[i] = e.(*Sketch)
+			count += e.Count()
 		}
-		res, err := parallel.CombineSnapshots(parts, phis)
+		values, errorBound, err = Combine(parts, phis)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		return res.Values, res.ErrorBound, res.Count, nil
+		return values, errorBound, count, nil
 	}
 	// Uniform non-MRL: fold the restored parts (already private copies)
 	// and answer with the combined a-posteriori bound.
