@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKLLBinaryRoundTrip      -fuzztime=$(FUZZTIME) ./internal/kll/
 	$(GO) test -run='^$$' -fuzz=FuzzWeightedBinaryRoundTrip -fuzztime=$(FUZZTIME) ./internal/weighted/
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryIngestFrame       -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzSplitBinBody            -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzClusterSnapshotFrame    -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # cert-smoke runs the guarantee-certification sweep at the CI budget: every

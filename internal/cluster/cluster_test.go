@@ -439,6 +439,141 @@ func TestForwardBinExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestForwardBinSendsEachNodeItsShare: a forwarded MRLB body leaves every
+// node exactly as posting that node's share of the body directly would —
+// the same summaries, backends, session marks and counters — where a
+// node's share is the body in its own frame order with only that node's
+// dict and batch frames kept. The bodies re-intern one id to metrics on
+// different owners, and declare their session after unsequenced batches.
+func TestForwardBinSendsEachNodeItsShare(t *testing.T) {
+	cfg := serve.Config{Epsilon: 0.01, N: 100_000}
+	_, probe, _ := newMemCluster(t, 3, cfg, 0.01)
+	nodes := probe.Nodes()
+	a := "share.a"
+	b := ""
+	for i := 0; b == ""; i++ {
+		if name := fmt.Sprintf("share.b%d", i); Owner(nodes, name) != Owner(nodes, a) {
+			b = name
+		}
+	}
+	// A frame tagged "" (the session) belongs to every share.
+	type frame struct {
+		metric string
+		bytes  []byte
+	}
+	batch := func(id uint32, seq uint64, vs ...float64) []byte {
+		if seq == 0 {
+			return serve.AppendBatchFrame(nil, id, vs, nil)
+		}
+		return serve.AppendBatchSeqFrame(nil, id, seq, vs, nil)
+	}
+	bodies := map[string][]frame{
+		"re-interned id": {
+			{"", serve.AppendSessionFrame(nil, 9)},
+			{a, serve.AppendDictFrame(nil, 1, a, "kll")},
+			{a, batch(1, 1, 1, 2, 3)},
+			{b, serve.AppendDictFrame(nil, 1, b, "")},
+			{b, batch(1, 2, 4, 5)},
+			{a, serve.AppendDictFrame(nil, 1, a, "kll")},
+			{a, batch(1, 3, 6)},
+			{a, batch(1, 0, 7, 8)},
+		},
+		"session after unsequenced batches": {
+			{a, serve.AppendDictFrame(nil, 1, a, "")},
+			{b, serve.AppendDictFrame(nil, 2, b, "")},
+			{a, batch(1, 0, 1, 2)},
+			{b, batch(2, 0, 3)},
+			{"", serve.AppendSessionFrame(nil, 5)},
+			{a, batch(1, 1, 4, 5)},
+			{b, batch(2, 2, 6)},
+		},
+	}
+	for name, frames := range bodies {
+		forwarded, coord, _ := newMemCluster(t, 3, cfg, 0.01)
+		direct, _, _ := newMemCluster(t, 3, cfg, 0.01)
+		body := serve.AppendBinPrologueV2(nil)
+		for _, f := range frames {
+			body = append(body, f.bytes...)
+		}
+		if _, err := coord.ForwardBin(context.Background(), body); err != nil {
+			t.Fatalf("%s: forward: %v", name, err)
+		}
+		for i, node := range direct {
+			share := serve.AppendBinPrologueV2(nil)
+			batches := 0
+			for _, f := range frames {
+				if f.metric == "" || Owner(nodes, f.metric) == i {
+					share = append(share, f.bytes...)
+					if f.metric != "" {
+						batches++
+					}
+				}
+			}
+			if batches == 0 {
+				continue
+			}
+			rr := httptest.NewRecorder()
+			node.srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest/bin", bytes.NewReader(share)))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s: posting node %d its share = %d: %s", name, i, rr.Code, rr.Body.String())
+			}
+		}
+		for i := range forwarded {
+			var got, want bytes.Buffer
+			if err := forwarded[i].reg.WriteCheckpoint(&got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := direct[i].reg.WriteCheckpoint(&want, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s: node %d checkpoint differs from posting its share directly", name, i)
+			}
+			if g, w := fmt.Sprint(forwarded[i].reg.Status()), fmt.Sprint(direct[i].reg.Status()); g != w {
+				t.Errorf("%s: node %d status\n%s\nwant\n%s", name, i, g, w)
+			}
+		}
+	}
+}
+
+// TestCoordinatorRefusedBodyReachesNoNode: a body the coordinator refuses
+// for a fault in its last frame or object is refused whole, with a 400,
+// before any node sees its earlier, well-formed part.
+func TestCoordinatorRefusedBodyReachesNoNode(t *testing.T) {
+	nodes, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
+	metrics := []string{"r.alpha", "r.beta", "r.gamma", "r.delta", "r.epsilon"}
+	bin := serve.AppendBinPrologueV2(nil)
+	var objs []byte
+	for i, m := range metrics {
+		bin = serve.AppendDictFrame(bin, uint32(i+1), m, "")
+		bin = serve.AppendBatchFrame(bin, uint32(i+1), []float64{1, 2, 3}, nil)
+		objs = fmt.Appendf(objs, "{\"metric\":%q,\"values\":[1,2,3]}\n", m)
+	}
+	badCRC := append([]byte(nil), bin...)
+	badCRC[len(badCRC)-1] ^= 1 // the last value of the last batch
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"MRLB body with a bad CRC in its last frame", "/ingest/bin", badCRC},
+		{"MRLB body sequencing its last batch before any session", "/ingest/bin", serve.AppendBatchSeqFrame(append([]byte(nil), bin...), 1, 1, []float64{4}, nil)},
+		{"MRLB body ending in an ack frame", "/ingest/bin", serve.AppendAckFrame(append([]byte(nil), bin...), 0, 1, "")},
+		{"JSON body with a torn last object", "/ingest", append(append([]byte(nil), objs...), `{"metric":"r.alpha","values":[4`...)},
+		{"JSON body whose last object names no metric", "/ingest", append(append([]byte(nil), objs...), `{"values":[4]}`...)},
+	} {
+		rr := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body)))
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", tc.name, rr.Code, strings.TrimSpace(rr.Body.String()))
+		}
+		for i, node := range nodes {
+			if n := node.reg.Len(); n != 0 {
+				t.Fatalf("%s: node %d holds %d metrics; a refused body must reach no node", tc.name, i, n)
+			}
+		}
+	}
+}
+
 // TestQueryPartialDegradation kills one node and checks the degradation
 // contract: the answer stays certified for the covered population, flags
 // Partial with the missing node, and recovers to a full answer when the

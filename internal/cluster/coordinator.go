@@ -1,9 +1,11 @@
 // Package cluster is the scatter/gather coordinator that turns N
 // independent quantiled nodes into one sharded service. Metrics are
 // assigned to nodes by rendezvous hashing (hash.go); ingest is routed to
-// the owning node (binary MRLB bodies are decoded, split per owner, and
-// re-encoded with their session identity and sequence numbers intact, so
-// the exactly-once contract survives the hop); queries fan out to every
+// the owning node (an ingest body is split per owner by serve's splitters,
+// which check it against a node's rules and send each owner the body's own
+// bytes: binary MRLB parts keep the session frame and the batches' sequence
+// numbers, so the exactly-once contract survives the hop, and nothing is
+// decoded or re-encoded on the way); queries fan out to every
 // node, pull per-shard estimator snapshots over the MRLS transfer format,
 // and combine them through the paper's §4.9 OUTPUT phase.
 //
@@ -303,30 +305,27 @@ func (e *nodeError) Unwrap() error { return ErrNodeFailed }
 
 // postNode POSTs body to node+path and decodes the node's JSON ingest
 // reply, folding failures into *nodeError.
-func (c *Coordinator) postNode(ctx context.Context, node, path, contentType string, body []byte) (accepted int64, batches int, err error) {
+func (c *Coordinator) postNode(ctx context.Context, node, path, contentType string, body []byte) (serve.IngestResponse, error) {
+	var rep serve.IngestResponse
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return rep, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %s unreachable: %v", ErrNodeFailed, node, err)
+		return rep, fmt.Errorf("%w: %s unreachable: %v", ErrNodeFailed, node, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: reading %s reply: %v", ErrNodeFailed, node, err)
+		return rep, fmt.Errorf("%w: reading %s reply: %v", ErrNodeFailed, node, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, 0, &nodeError{node: node, status: resp.StatusCode, msg: strings.TrimSpace(string(raw))}
-	}
-	var rep struct {
-		Accepted int64 `json:"accepted"`
-		Batches  int   `json:"batches"`
+		return rep, &nodeError{node: node, status: resp.StatusCode, msg: strings.TrimSpace(string(raw))}
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		return 0, 0, fmt.Errorf("%w: bad reply from %s: %v", ErrNodeFailed, node, err)
+		return rep, fmt.Errorf("%w: bad reply from %s: %v", ErrNodeFailed, node, err)
 	}
-	return rep.Accepted, rep.Batches, nil
+	return rep, nil
 }

@@ -1,30 +1,16 @@
 package cluster
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
-	"strings"
 
+	"mrl/internal/serve"
 	"mrl/quantile"
 )
-
-// maxIngestBody bounds one forwarded ingest request, mirroring the node
-// default (serve.Options.MaxIngestBytes).
-const maxIngestBody = 32 << 20
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-type ingestResponse struct {
-	Accepted int64 `json:"accepted"`
-	Batches  int   `json:"batches"`
-}
 
 // quantileResponse is the node answer shape plus the cluster certificate
 // fields: how many nodes contributed, the distribution-graph height the
@@ -41,16 +27,6 @@ type quantileResponse struct {
 	Height     int       `json:"height"`
 	Partial    bool      `json:"partial"`
 	Missing    []string  `json:"missingNodes,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // statusFor maps coordinator failures onto HTTP status codes. A node's
@@ -70,105 +46,62 @@ func statusFor(err error) int {
 	}
 }
 
-// parsePhis parses a comma-separated phi list, e.g. "0.5,0.99,0.999".
-func parsePhis(raw string) ([]float64, error) {
-	if raw == "" {
-		return nil, errors.New("cluster: missing phi parameter")
-	}
-	parts := strings.Split(raw, ",")
-	phis := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		phi, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad phi %q: %w", p, err)
-		}
-		if math.IsNaN(phi) || phi < 0 || phi > 1 {
-			return nil, fmt.Errorf("cluster: phi %v outside [0,1]", phi)
-		}
-		phis = append(phis, phi)
-	}
-	return phis, nil
-}
-
 // Handler returns the coordinator's route table. It mirrors a node's
 // ingest/query surface — a client pointed at a coordinator instead of a
 // node keeps working — with the cluster certificate fields added to
 // quantile answers and /clusterz for topology.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", c.handleIngest)
-	mux.HandleFunc("POST /ingest/bin", c.handleIngestBin)
+	mux.HandleFunc("POST /ingest", forward(c.ForwardIngestJSON))
+	mux.HandleFunc("POST /ingest/bin", forward(c.ForwardBin))
 	mux.HandleFunc("GET /quantile", c.handleQuantile)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /clusterz", c.handleClusterz)
 	return mux
 }
 
-func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad ingest body: %w", err))
+// forward serves an ingest route: it reads the body under a node's default
+// size cap and answers with what fn made of it.
+func forward(fn func(context.Context, []byte) (serve.IngestResponse, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := serve.ReadIngestBody(w, r, serve.DefaultMaxIngestBytes, nil)
+		if !ok {
+			return
 		}
-		return nil, false
+		res, err := fn(r.Context(), body)
+		if err != nil {
+			serve.WriteError(w, statusFor(err), err)
+			return
+		}
+		serve.WriteJSON(w, http.StatusOK, res)
 	}
-	return body, true
-}
-
-func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	res, err := c.ForwardIngestJSON(r.Context(), body)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ingestResponse{Accepted: res.Accepted, Batches: res.Batches})
-}
-
-func (c *Coordinator) handleIngestBin(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	res, err := c.ForwardBin(r.Context(), body)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ingestResponse{Accepted: res.Accepted, Batches: res.Batches})
 }
 
 func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	phis, err := parsePhis(q.Get("phi"))
+	phis, err := serve.ParsePhis(q.Get("phi"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if raw := q.Get("window"); raw != "" {
 		windowed, err := strconv.ParseBool(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad window parameter %q", raw))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad window parameter %q", raw))
 			return
 		}
 		if windowed {
-			writeError(w, http.StatusBadRequest, ErrWindowUnsupported)
+			serve.WriteError(w, http.StatusBadRequest, ErrWindowUnsupported)
 			return
 		}
 	}
 	metric := q.Get("metric")
 	res, err := c.Query(r.Context(), metric, phis)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		serve.WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, quantileResponse{
+	serve.WriteJSON(w, http.StatusOK, quantileResponse{
 		Metric:     metric,
 		Phis:       phis,
 		Values:     res.Values,
@@ -183,7 +116,7 @@ func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 		Nodes  int    `json:"nodes"`
 	}{Status: "ok", Nodes: len(c.nodes)})
@@ -216,5 +149,5 @@ func (c *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Nodes = append(out.Nodes, clusterzNode{URL: node, Healthy: healthy})
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }

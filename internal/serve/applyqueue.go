@@ -15,9 +15,8 @@ import (
 // pool of apply workers draining per-metric FIFO queues. Binary batch
 // buffers are handed off by refcounted pooled ownership — the float64 view
 // parsed out of a frame is applied without ever being copied; JSON decode
-// scratch is copied once into the queue — and adjacent plain batches on the
-// same metric are coalesced into one run applied under one hold of the
-// metric's lock.
+// scratch is copied once into the queue — and a drainer applies the whole
+// backlog it finds as one run under one hold of the metric's lock.
 //
 // Correctness invariants:
 //
@@ -138,10 +137,6 @@ type applyQueue struct {
 	enqueued uint64 // tickets issued (one per enqueued batch)
 	applied  uint64 // tickets applied
 
-	// runScratch is the drainer's coalescing buffer; only the single active
-	// drainer touches it, so no extra locking is needed.
-	runScratch [][]float64
-
 	pool *applyPool
 }
 
@@ -222,7 +217,11 @@ func (q *applyQueue) drainTo(m *metric, target uint64) {
 			run = run[:left]
 		}
 		q.mu.Unlock()
-		m.applyRun(run)
+		failed, err := m.apply(run)
+		for _, it := range run {
+			it.buf.release()
+		}
+		q.pool.count(len(run), failed, err)
 		q.mu.Lock()
 		q.head += len(run)
 		q.applied += uint64(len(run))
@@ -275,7 +274,7 @@ type applyPool struct {
 	// Counters for the /metricsz apply block.
 	enqueuedBatches  atomic.Int64
 	appliedBatches   atomic.Int64
-	coalescedBatches atomic.Int64 // batches applied as part of a multi-batch coalesced run
+	coalescedBatches atomic.Int64 // batches applied in a run of more than one
 	shedBatches      atomic.Int64
 	blockedEnqueues  atomic.Int64
 	applyErrors      atomic.Int64
@@ -362,60 +361,18 @@ func (p *applyPool) worker() {
 	}
 }
 
-// noteError records an apply failure. Batches are fully validated before
-// they are logged and enqueued, so an apply error here means a bug (or a
-// backend invariant violated); it is counted and surfaced in /metricsz
-// rather than lost, but there is no client left to answer.
-func (p *applyPool) noteError(err error) {
-	p.applyErrors.Add(1)
-	p.lastErr.Store(err.Error())
-}
-
-// applyRun applies one FIFO run of batches to the metric, coalescing
-// adjacent plain batches into one applyCoalesced call (one gen bump, one
-// hold of the metric's lock; element order is preserved, so the result is
-// exactly the sequential application). Buffer references are released as
-// their batches land.
-func (m *metric) applyRun(items []applyItem) {
-	pool := m.q.pool
-	for i := 0; i < len(items); {
-		it := items[i]
-		if it.ws != nil {
-			if err := m.applyWeighted(it.vs, it.ws, it.replay); err != nil {
-				pool.noteError(err)
-			}
-			pool.appliedBatches.Add(1)
-			it.buf.release()
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(items) && items[j].ws == nil && items[j].replay == it.replay {
-			j++
-		}
-		if j == i+1 {
-			if err := m.applyPlain(it.vs, it.replay); err != nil {
-				pool.noteError(err)
-			}
-			pool.appliedBatches.Add(1)
-			it.buf.release()
-			i++
-			continue
-		}
-		vss := m.q.runScratch[:0]
-		for k := i; k < j; k++ {
-			vss = append(vss, items[k].vs)
-		}
-		if err := m.applyCoalesced(vss, it.replay); err != nil {
-			pool.noteError(err)
-		}
-		clear(vss) // keep the capacity, not the batches' values
-		m.q.runScratch = vss[:0]
-		pool.appliedBatches.Add(int64(j - i))
-		pool.coalescedBatches.Add(int64(j - i))
-		for k := i; k < j; k++ {
-			items[k].buf.release()
-		}
-		i = j
+// count records one applied run: its batches, whether they shared a hold
+// of the metric's lock with others, and its failures. Batches are fully
+// validated before they are logged and enqueued, so an apply error here
+// means a bug (or a backend invariant violated); it is counted and surfaced
+// in /metricsz rather than lost, but there is no client left to answer.
+func (p *applyPool) count(batches, failed int, err error) {
+	p.appliedBatches.Add(int64(batches))
+	if batches > 1 {
+		p.coalescedBatches.Add(int64(batches))
+	}
+	if failed > 0 {
+		p.applyErrors.Add(int64(failed))
+		p.lastErr.Store(err.Error())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mrl/internal/faultfs"
+	"mrl/quantile"
 )
 
 // applyTestConfig is the shared base: barrier-only draining (no workers) so
@@ -37,9 +38,8 @@ func enqueueDirect(t *testing.T, m *metric, vs []float64) {
 }
 
 // TestDrainReleasesBatchReferences: a drained queue keeps the capacity of
-// its backlog and coalescing scratch but no reference into the batches it
-// applied, so their released frame buffers and copied values can be
-// collected.
+// its backlog but no reference into the batches it applied, so their
+// released frame buffers and copied values can be collected.
 func TestDrainReleasesBatchReferences(t *testing.T) {
 	reg, err := NewRegistry(applyTestConfig())
 	if err != nil {
@@ -60,24 +60,19 @@ func TestDrainReleasesBatchReferences(t *testing.T) {
 	reg.drainAll()
 	m.q.mu.Lock()
 	defer m.q.mu.Unlock()
-	if cap(m.q.items) == 0 || cap(m.q.runScratch) == 0 {
-		t.Fatalf("drain dropped the warm capacity: items %d, scratch %d", cap(m.q.items), cap(m.q.runScratch))
+	if cap(m.q.items) == 0 {
+		t.Fatal("drain dropped the warm capacity of the backlog")
 	}
 	for i, it := range m.q.items[:cap(m.q.items)] {
 		if it.vs != nil || it.ws != nil || it.buf != nil {
 			t.Fatalf("backlog slot %d still references an applied batch", i)
 		}
 	}
-	for i, vs := range m.q.runScratch[:cap(m.q.runScratch)] {
-		if vs != nil {
-			t.Fatalf("coalescing scratch slot %d still references an applied batch", i)
-		}
-	}
 }
 
-// TestAsyncApplyBitIdenticalToSync proves the tentpole's order invariant at
-// the registry level: a backlog of batches applied through the queue — as one
-// coalesced multi-slice run AND as per-batch drains — produces a registry
+// TestAsyncApplyBitIdenticalToSync proves the apply queue's order invariant
+// at the registry level: a backlog of batches applied through the queue — as
+// one run under one lock hold AND as per-batch drains — produces a registry
 // byte-identical (checkpoint encoding, windowed answers, counters) to
 // synchronous Ingest of the same batches in the same order.
 func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
@@ -108,8 +103,7 @@ func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Whole backlog queued, then one drain: applyRun coalesces every batch
-	// into a single applyCoalesced call.
+	// Whole backlog queued, then one drain: every batch applies in one run.
 	mc, err := coalesced.getOrCreate("m")
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +160,44 @@ func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
 	}
 	if single.ApplyStatus().CoalescedBatches != 0 {
 		t.Errorf("per-batch drains coalesced %d batches, want 0", single.ApplyStatus().CoalescedBatches)
+	}
+}
+
+// TestApplyRunKeepsGoingPastAFailingBatch: a batch that fails inside a
+// drained run is counted as an apply error and skipped, and the batches
+// after it in the same run still land. Here the failing batch is a
+// weighted one queued for a metric that does not run the weighted backend.
+func TestApplyRunKeepsGoingPastAFailingBatch(t *testing.T) {
+	reg, err := NewRegistry(applyTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	m, err := reg.getOrCreate("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range []applyItem{
+		{vs: []float64{1, 2}},
+		{vs: []float64{3}, ws: []float64{1}},
+		{vs: []float64{4, 5}},
+	} {
+		if err := m.q.reserve(false); err != nil {
+			t.Fatal(err)
+		}
+		m.q.enqueue(m, it)
+	}
+	reg.drainAll()
+	res, err := reg.Quantiles("m", []float64{0, 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 4 || res.Values[0] != 1 || res.Values[1] != 5 {
+		t.Fatalf("served %+v, want the four plain values 1..5 without 3", res)
+	}
+	st := reg.ApplyStatus()
+	if st.AppliedBatches != 3 || st.CoalescedBatches != 3 || st.ApplyErrors != 1 || !strings.Contains(st.LastError, ErrWeightsUnsupported.Error()) {
+		t.Fatalf("apply status %+v, want 3 applied in one run and 1 ErrWeightsUnsupported", st)
 	}
 }
 
@@ -371,7 +403,11 @@ func TestRegistryCreateVsIngestStress(t *testing.T) {
 					enqueueDirect(t, m, []float64{4, 5, 6})
 					total.Add(3)
 				default:
-					if _, err := reg.Quantiles(name, []float64{0.5}, false); err != nil && !errors.Is(err, ErrUnknownMetric) {
+					// A metric another goroutine has just created may hold no
+					// value yet: quantile.ErrEmpty is a 404 like an unknown
+					// metric, not a failure.
+					if _, err := reg.Quantiles(name, []float64{0.5}, false); err != nil &&
+						!errors.Is(err, ErrUnknownMetric) && !errors.Is(err, quantile.ErrEmpty) {
 						t.Error(err)
 						return
 					}
@@ -396,7 +432,7 @@ func TestRegistryCreateVsIngestStress(t *testing.T) {
 
 // TestApplyHandoffZeroAlloc is the satellite allocation gate: the binary
 // ingest handoff — reserve, zero-copy enqueue of a frame-buffer value view,
-// drain through applyPlain into the metric's summary — allocates nothing per
+// drain through apply into the metric's summary — allocates nothing per
 // batch at steady state. This is what "the decoded batch is never copied
 // between the wire and the sketch" means, enforced.
 func TestApplyHandoffZeroAlloc(t *testing.T) {

@@ -167,7 +167,7 @@ func TestBinaryJSONDifferentialBitIdentical(t *testing.T) {
 				b, _ := io.ReadAll(resp.Body)
 				t.Fatalf("binary ingest: status %d: %s", resp.StatusCode, b)
 			}
-			var ir ingestResponse
+			var ir IngestResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Fatal(err)
 			}

@@ -2,8 +2,31 @@ package serve
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 )
+
+// binFrameCorpus seeds the binary ingest fuzz targets: single frames of
+// every type, a bare prologue, and garbage after a prologue, each with the
+// byte position and flip mask FuzzBinaryIngestFrame corrupts it by.
+var binFrameCorpus = []struct {
+	data []byte
+	pos  uint16
+	flip byte
+}{
+	{[]byte{}, 0, 0},
+	{AppendBinPrologueV2(nil), 3, 1},
+	{AppendDictFrame(nil, 1, "latency_ms", "kll"), 9, 0x80},
+	{AppendBatchFrame(nil, 1, []float64{1.5, 2.5, -9}, nil), 17, 0x40},
+	{AppendBatchFrame(nil, 2, []float64{9.5, 11}, []float64{12, 3}), 23, 2},
+	{AppendAckFrame(nil, ackUnavailable, 0, "wal: sync: injected"), 5, 4},
+	{AppendBatchSeqFrame(nil, 1, 7, []float64{1.5, 2.5}, nil), 19, 0x20},
+	{AppendSessionFrame(nil, 0xfeedface), 11, 8},
+	{AppendSessionAckFrame(nil, ackOK, 42), 13, 0x10},
+	{[]byte("MRLB\x02\x00\x00\x00garbage after a fine v2 prologue"), 12, 0xff},
+	{[]byte("MRLB\x01\x00\x00\x00garbage after a fine prologue"), 12, 0xff},
+}
 
 // FuzzBinaryIngestFrame holds the binary ingest decoder to its three
 // contracts: it never panics on arbitrary bytes, it rejects corrupted
@@ -12,17 +35,9 @@ import (
 // the canonical-format property that makes the JSON-vs-binary differential
 // test meaningful.
 func FuzzBinaryIngestFrame(f *testing.F) {
-	f.Add([]byte{}, uint16(0), byte(0))
-	f.Add(AppendBinPrologueV2(nil), uint16(3), byte(1))
-	f.Add(AppendDictFrame(nil, 1, "latency_ms", "kll"), uint16(9), byte(0x80))
-	f.Add(AppendBatchFrame(nil, 1, []float64{1.5, 2.5, -9}, nil), uint16(17), byte(0x40))
-	f.Add(AppendBatchFrame(nil, 2, []float64{9.5, 11}, []float64{12, 3}), uint16(23), byte(2))
-	f.Add(AppendAckFrame(nil, ackUnavailable, 0, "wal: sync: injected"), uint16(5), byte(4))
-	f.Add(AppendBatchSeqFrame(nil, 1, 7, []float64{1.5, 2.5}, nil), uint16(19), byte(0x20))
-	f.Add(AppendSessionFrame(nil, 0xfeedface), uint16(11), byte(8))
-	f.Add(AppendSessionAckFrame(nil, ackOK, 42), uint16(13), byte(0x10))
-	f.Add([]byte("MRLB\x02\x00\x00\x00garbage after a fine v2 prologue"), uint16(12), byte(0xff))
-	f.Add([]byte("MRLB\x01\x00\x00\x00garbage after a fine prologue"), uint16(12), byte(0xff))
+	for _, c := range binFrameCorpus {
+		f.Add(c.data, c.pos, c.flip)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, pos uint16, flip byte) {
 		// --- Shape 1: raw fuzz bytes as a frame stream. Parse must never
 		// panic, and whatever parses must re-encode bit-exactly.
@@ -91,4 +106,144 @@ func FuzzBinaryIngestFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSplitBinBody holds the forwarding splitter to the node's stream
+// rules. A body it accepts splits into parts that each pass the node's
+// grammar and start with the prologue and the body's session frame, and
+// whose batches are exactly the body's (metric, seq, values, weights)
+// tuples, in body order per owner. A body it refuses yields no parts. Each
+// input is tried raw and as a frame script (binScriptBody), whose frames
+// all pass their CRC, so the fuzzer reaches re-interned ids, sessions after
+// batches and the stream-rule refusals.
+func FuzzSplitBinBody(f *testing.F) {
+	for _, c := range binFrameCorpus {
+		f.Add(c.data)
+		f.Add(append(AppendBinPrologueV2(nil), c.data...))
+	}
+	var whole []byte
+	for _, c := range binFrameCorpus[2:9] {
+		whole = append(whole, c.data...)
+	}
+	f.Add(append(AppendBinPrologueV2(nil), whole...))
+	f.Add([]byte{0, 1, 1, 2, 4, 9, 3, 1, 8, 3, 9, 4, 2, 7, 0, 6, 1, 5, 25, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSplit(t, data)
+		checkSplit(t, binScriptBody(data))
+	})
+}
+
+// binScriptBody reads fuzz bytes as a frame script, two bytes per frame:
+// the first picks the frame type and its id, the second the metric, the
+// values, the sequence step or the session.
+func binScriptBody(data []byte) []byte {
+	names := []string{"a", "b", "c", "d", "e"}
+	body := AppendBinPrologueV2(nil)
+	var seq uint64
+	for i := 0; i+1 < len(data); i += 2 {
+		op, arg := data[i], data[i+1]
+		id := uint32(op>>3) % 4
+		switch op % 5 {
+		case 0:
+			body = AppendDictFrame(body, id, names[arg%5], "")
+		case 1:
+			body = AppendBatchFrame(body, id, []float64{float64(arg), float64(i)}, nil)
+		case 2:
+			body = AppendBatchFrame(body, id, []float64{float64(arg)}, []float64{float64(arg%3 + 1)})
+		case 3:
+			seq += uint64(arg%3) + 1
+			body = AppendBatchSeqFrame(body, id, seq, []float64{float64(arg)}, nil)
+		case 4:
+			body = AppendSessionFrame(body, uint64(arg%2)+1)
+		}
+	}
+	return body
+}
+
+// splitBatch is one batch frame as a node reads it; values and weights are
+// kept as bits so NaN payloads compare equal.
+type splitBatch struct {
+	metric   string
+	seq      uint64
+	weighted bool
+	values   []uint64
+	weights  []uint64
+}
+
+// grammarBatches reads an MRLB body as a node's carriers do — the prologue,
+// then every frame through binGrammar — and returns the body's first
+// session frame and its batches in order.
+func grammarBatches(body []byte) ([]byte, []splitBatch, error) {
+	if err := parseBinPrologue(body); err != nil {
+		return nil, nil, err
+	}
+	bits := func(fs []float64) []uint64 {
+		var out []uint64
+		for _, f := range fs {
+			out = append(out, math.Float64bits(f))
+		}
+		return out
+	}
+	var g binGrammar
+	var session []byte
+	var out []splitBatch
+	for rest := body[binPrologueLen:]; len(rest) > 0; {
+		fr, tail, err := parseBinFrame(rest, nil, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		frame := rest[:len(rest)-len(tail)]
+		rest = tail
+		name, err := g.check(&fr)
+		if err != nil {
+			return nil, nil, err
+		}
+		switch fr.typ {
+		case binFrameSession:
+			if session == nil {
+				session = frame
+			}
+		case binFrameBatch:
+			out = append(out, splitBatch{name, fr.seq, fr.weighted, bits(fr.values), bits(fr.weights)})
+		}
+	}
+	return session, out, nil
+}
+
+func checkSplit(t *testing.T, body []byte) {
+	const owners = 3
+	owner := func(metric string) int { return int(uint64(metricSeed(metric)) % owners) }
+	parts, err := SplitBinBody(body, owners, owner)
+	session, batches, wantErr := grammarBatches(body)
+	if wantErr == nil && len(batches) == 0 {
+		wantErr = errNoBatchFrames
+	}
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("splitter error %v, node grammar error %v", err, wantErr)
+	}
+	if err != nil {
+		if parts != nil {
+			t.Fatalf("refused body (%v) yielded parts", err)
+		}
+		return
+	}
+	var want, got [owners][]splitBatch
+	for _, b := range batches {
+		want[owner(b.metric)] = append(want[owner(b.metric)], b)
+	}
+	head := append(append([]byte(nil), body[:binPrologueLen]...), session...)
+	for i, part := range parts {
+		if part == nil {
+			continue
+		}
+		if !bytes.HasPrefix(part, head) {
+			t.Fatalf("part %d does not start with the prologue and the session frame", i)
+		}
+		if _, got[i], err = grammarBatches(part); err != nil {
+			t.Fatalf("part %d fails the node's grammar: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parts carry batches\n%+v\nwant, per owner in body order,\n%+v", got, want)
+	}
 }

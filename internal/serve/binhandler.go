@@ -11,24 +11,16 @@ import (
 	"time"
 )
 
-// maxBinDictEntries caps one stream's interning table; a writer needing
-// more ids than this is leaking them.
-const maxBinDictEntries = 1 << 16
-
 // binSession is the per-stream state of one binary ingest carrier: the
-// id → metric-name interning table, the client session binding (streams
-// that declared one), and the decode scratch for hosts where the zero-copy
-// value view is unavailable.
+// stream rules it enforces (binGrammar), the pinned dedup entry of the
+// session the stream declared, and the decode scratch for hosts where the
+// zero-copy value view is unavailable.
 type binSession struct {
 	s    *Server
-	ent  *sessionEntry // pinned dedup entry of the declared session, nil until bound
-	dict map[uint32]string
+	g    binGrammar
+	ent  *sessionEntry // nil until the stream declares a session
 	vals []float64
 	wts  []float64
-}
-
-func newBinSession(s *Server) *binSession {
-	return &binSession{s: s, dict: make(map[uint32]string)}
 }
 
 // close releases the stream's pin on its session entry so the dedup table
@@ -40,53 +32,31 @@ func (bs *binSession) close() {
 	}
 }
 
-// declareSession binds the stream to the client session sid and returns the
-// session's current high-water mark (the highest sequenced batch already
-// applied) for the sessionAck answer. Re-declaring the same session is an
-// idempotent re-read — a retried POST /ingest/bin body starts with its
-// session frame every time — but a stream serves one session only.
-func (bs *binSession) declareSession(sid uint64) (uint64, error) {
-	if bs.ent != nil {
-		if sid != bs.ent.sid {
-			return 0, fmt.Errorf("%w: stream already bound to session %d", ErrBadFrame, bs.ent.sid)
-		}
-		return bs.ent.hw.Load(), nil
-	}
-	bs.ent = bs.s.reg.sessions.acquire(sid)
-	return bs.ent.hw.Load(), nil
-}
-
 // handleFrame applies one parsed frame: dict frames extend the interning
-// table (creating the metric when a backend tag is present), batch frames
-// go through Server.ingest (buf is the pooled buffer the frame's values
-// view into; the apply queue retains it until the batch is applied).
-// Returns the number of values accepted (batch frames only).
+// table (creating the metric when a backend tag is present), a session
+// frame binds the stream to its client session — re-declaring it is an
+// idempotent re-read, since a retried POST /ingest/bin body starts with its
+// session frame every time — and batch frames go through Server.ingest (buf
+// is the pooled buffer the frame's values view into; the apply queue
+// retains it until the batch is applied). Returns the number of values
+// accepted (batch frames only).
 func (bs *binSession) handleFrame(fr binParsed, buf *pooledBuf) (int, error) {
+	name, err := bs.g.check(&fr)
+	if err != nil {
+		return 0, err
+	}
 	switch fr.typ {
 	case binFrameDict:
-		if err := validateMetricName(fr.name); err != nil {
-			return 0, err
-		}
 		if fr.backend != "" {
-			if err := bs.s.reg.EnsureBackend(fr.name, fr.backend); err != nil {
-				return 0, err
-			}
+			return 0, bs.s.reg.EnsureBackend(fr.name, fr.backend)
 		}
-		if _, ok := bs.dict[fr.id]; !ok && len(bs.dict) >= maxBinDictEntries {
-			return 0, fmt.Errorf("%w: more than %d interned metric ids", ErrBadFrame, maxBinDictEntries)
+	case binFrameSession:
+		if bs.ent == nil {
+			bs.ent = bs.s.reg.sessions.acquire(fr.sid)
 		}
-		bs.dict[fr.id] = fr.name
-		return 0, nil
 	case binFrameBatch:
-		name, ok := bs.dict[fr.id]
-		if !ok {
-			return 0, fmt.Errorf("%w: id %d (send a dict frame first)", ErrUnknownMetricID, fr.id)
-		}
 		var id *batchID
 		if fr.sequenced {
-			if bs.ent == nil {
-				return 0, fmt.Errorf("%w: sequenced batch before a session frame", ErrBadFrame)
-			}
 			id = &batchID{ent: bs.ent, seq: fr.seq}
 		}
 		ws := fr.weights
@@ -97,12 +67,8 @@ func (bs *binSession) handleFrame(fr binParsed, buf *pooledBuf) (int, error) {
 			return 0, err
 		}
 		return len(fr.values), nil
-	case binFrameSession:
-		_, err := bs.declareSession(fr.sid)
-		return 0, err
-	default: // binFrameAck/binFrameSessionAck: parse accepts them (clients read acks), writers must not send them
-		return 0, fmt.Errorf("%w: unexpected frame type %d from a writer", ErrBadFrame, fr.typ)
 	}
+	return 0, nil
 }
 
 // handleIngestBin serves POST /ingest/bin: the body is one binary ingest
@@ -122,32 +88,25 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	// queued batch needs them.
 	buf := getFrameBuf(0)
 	defer buf.release()
-	var err error
-	buf.b, err = readFullBody(http.MaxBytesReader(w, r.Body, s.opt.MaxIngestBytes), buf.b)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
+	var ok bool
+	if buf.b, ok = ReadIngestBody(w, r, s.opt.MaxIngestBytes, buf.b); !ok {
 		return
 	}
 	if err := parseBinPrologue(buf.b); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The pooled body buffer starts 8-aligned and the prologue is 8 bytes,
 	// so every frame payload below parses with the zero-copy value view.
-	bs := newBinSession(s)
+	bs := &binSession{s: s}
 	defer bs.close()
 	rest := buf.b[binPrologueLen:]
-	var resp ingestResponse
+	var resp IngestResponse
 	for len(rest) > 0 {
-		var fr binParsed
-		fr, rest, err = parseBinFrame(rest, bs.vals, bs.wts)
+		fr, tail, err := parseBinFrame(rest, bs.vals, bs.wts)
+		rest = tail
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		accepted, err := bs.handleFrame(fr, buf)
@@ -161,10 +120,10 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if resp.Batches == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("serve: binary ingest body carries no batch frames"))
+		WriteError(w, http.StatusBadRequest, errNoBatchFrames)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ackStatus compresses the HTTP status taxonomy into the ack frame's status
@@ -316,7 +275,7 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		fatal(err)
 		return
 	}
-	bs := newBinSession(s)
+	bs := &binSession{s: s}
 	defer bs.close()
 	hdr := make([]byte, binFrameHeaderLen)
 	var ackBuf []byte
@@ -351,24 +310,6 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			fatal(err)
 			return
 		}
-		if fr.typ == binFrameSession {
-			payload.release()
-			hw, err := bs.declareSession(fr.sid)
-			if err != nil {
-				fatal(err)
-				return
-			}
-			ackBuf = AppendSessionAckFrame(ackBuf[:0], ackOK, hw)
-			writeDeadline()
-			if _, err := bw.Write(ackBuf); err != nil {
-				return
-			}
-			// The client blocks on this answer before replaying; flush now.
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			continue
-		}
 		accepted, err := bs.handleFrame(fr, payload)
 		payload.release()
 		if err != nil {
@@ -378,17 +319,23 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			fatal(err)
 			return
 		}
-		if fr.typ != binFrameBatch {
+		switch fr.typ {
+		case binFrameSession:
+			ackBuf = AppendSessionAckFrame(ackBuf[:0], ackOK, bs.ent.hw.Load())
+		case binFrameBatch:
+			ackBuf = AppendAckFrame(ackBuf[:0], ackOK, uint32(accepted), "")
+		default:
 			continue
 		}
-		ackBuf = AppendAckFrame(ackBuf[:0], ackOK, uint32(accepted), "")
 		writeDeadline()
 		if _, err := bw.Write(ackBuf); err != nil {
 			return
 		}
-		// Flush when the pipeline has drained: while more frames are already
-		// buffered the acks batch up with them, one syscall per burst.
-		if br.Buffered() < binFrameHeaderLen {
+		// A sessionAck is flushed at once: the client blocks on it before
+		// replaying. Batch acks flush when the pipeline has drained: while
+		// more frames are already buffered the acks batch up with them, one
+		// syscall per burst.
+		if fr.typ == binFrameSession || br.Buffered() < binFrameHeaderLen {
 			if err := bw.Flush(); err != nil {
 				return
 			}

@@ -413,6 +413,57 @@ func parseBinPayload(p []byte, valScratch, wtScratch []float64) (binParsed, erro
 	return out, nil
 }
 
+// maxBinDictEntries caps one stream's interning table; a writer needing
+// more ids than this is leaking them.
+const maxBinDictEntries = 1 << 16
+
+// binGrammar holds the stream rules every reader of a writer's MRLB stream
+// enforces — the node's TCP and HTTP carriers and the forwarding splitter
+// alike: a dict frame interns a valid metric name under an id (at most
+// maxBinDictEntries ids per stream), a batch frame names an interned id, a
+// stream declares at most one session and sequences no batch before it,
+// and a writer sends no ack or sessionAck frames.
+type binGrammar struct {
+	dict map[uint32]string
+	sid  uint64 // the declared session, 0 until a session frame
+}
+
+// check applies one parsed frame to the stream state. For a batch frame it
+// returns the metric name the frame's id is interned to.
+func (g *binGrammar) check(fr *binParsed) (string, error) {
+	switch fr.typ {
+	case binFrameDict:
+		if err := validateMetricName(fr.name); err != nil {
+			return "", err
+		}
+		if g.dict == nil {
+			g.dict = make(map[uint32]string)
+		}
+		if _, ok := g.dict[fr.id]; !ok && len(g.dict) >= maxBinDictEntries {
+			return "", fmt.Errorf("%w: more than %d interned metric ids", ErrBadFrame, maxBinDictEntries)
+		}
+		g.dict[fr.id] = fr.name
+		return "", nil
+	case binFrameBatch:
+		name, ok := g.dict[fr.id]
+		if !ok {
+			return "", fmt.Errorf("%w: id %d (send a dict frame first)", ErrUnknownMetricID, fr.id)
+		}
+		if fr.sequenced && g.sid == 0 {
+			return "", fmt.Errorf("%w: sequenced batch before a session frame", ErrBadFrame)
+		}
+		return name, nil
+	case binFrameSession:
+		if g.sid != 0 && fr.sid != g.sid {
+			return "", fmt.Errorf("%w: stream already bound to session %d", ErrBadFrame, g.sid)
+		}
+		g.sid = fr.sid
+		return "", nil
+	default: // binFrameAck/binFrameSessionAck: parse accepts them (clients read acks), writers must not send them
+		return "", fmt.Errorf("%w: unexpected frame type %d from a writer", ErrBadFrame, fr.typ)
+	}
+}
+
 // parseBinFrame splits and decodes the first frame of b, returning the
 // parsed frame and the remainder. The frame's CRC is verified here.
 func parseBinFrame(b []byte, valScratch, wtScratch []float64) (binParsed, []byte, error) {

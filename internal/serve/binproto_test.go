@@ -83,17 +83,18 @@ func TestBinProtoRoundTrip(t *testing.T) {
 		}
 	}
 	// The same writer body under a version-1 prologue is a bad frame, for
-	// the stream check and the forwarding decoder alike.
+	// the stream check and the forwarding splitter alike.
 	body := binStreamBody(1, "m", "", [][2][]float64{{[]float64{1, 2}, nil}})
-	if _, err := DecodeBinBody(body); err != nil {
+	oneOwner := func(string) int { return 0 }
+	if _, err := SplitBinBody(body, 1, oneOwner); err != nil {
 		t.Fatal(err)
 	}
 	body[4] = 1
 	if err := parseBinPrologue(body); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("v1 prologue: %v, want ErrBadFrame", err)
 	}
-	if _, err := DecodeBinBody(body); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("DecodeBinBody on a v1 body: %v, want ErrBadFrame", err)
+	if _, err := SplitBinBody(body, 1, oneOwner); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("SplitBinBody on a v1 body: %v, want ErrBadFrame", err)
 	}
 }
 

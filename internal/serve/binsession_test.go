@@ -276,7 +276,7 @@ func TestBinIngestHTTPIdempotentRetry(t *testing.T) {
 			resp.Body.Close()
 			t.Fatalf("attempt %d: status %d: %s", attempt, resp.StatusCode, b)
 		}
-		var ir ingestResponse
+		var ir IngestResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			t.Fatal(err)
 		}

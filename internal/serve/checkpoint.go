@@ -363,9 +363,9 @@ func decodeSummary(b quantile.Backend, blobs [][]byte) (quantile.Estimator, erro
 // restore installs a decoded checkpoint summary: as the live summary when
 // the metric holds nothing yet, else absorbed into it.
 func (m *metric) restore(e quantile.Estimator) error {
-	m.gen.Add(1) // restored data changes query answers
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.gen.Add(1) // restored data changes query answers; bumped under the lock, see apply
 	if m.all.Count() == 0 {
 		m.all = e
 	} else if err := m.all.Absorb(e); err != nil {

@@ -87,11 +87,11 @@ func postBody(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
-func mustIngest(t *testing.T, base, body string) ingestResponse {
+func mustIngest(t *testing.T, base, body string) IngestResponse {
 	t.Helper()
 	resp := postBody(t, base+"/ingest", body)
 	defer resp.Body.Close()
-	var out ingestResponse
+	var out IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestEndToEndConcurrentIngestWithinBound(t *testing.T) {
 					errs <- err
 					return
 				}
-				var ir ingestResponse
+				var ir IngestResponse
 				if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 					resp.Body.Close()
 					errs <- err

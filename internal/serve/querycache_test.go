@@ -3,8 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"mrl/quantile"
 )
 
 func newCacheTestServer(t *testing.T, opt Options) *Server {
@@ -39,6 +44,70 @@ func metricsz(t *testing.T, srv *Server) metricszResponse {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestGenerationMovesUnderMetricLock: a cached answer is stamped with the
+// generation its query read before taking the metric's lock, so every
+// mutation must move the generation while holding that lock. Otherwise a
+// query can read the new generation, take the lock before the writer, and
+// cache the pre-write answer under the post-write stamp, serving it to every
+// later query, including queries sent after the write was acked. With the
+// lock held here, a write, a rotation and a checkpoint restore must all
+// wait without moving the generation.
+func TestGenerationMovesUnderMetricLock(t *testing.T) {
+	cfg := Config{Epsilon: 0.01, N: 1_000_000, Windows: 3, PerWindow: 100_000}
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if err := reg.Ingest("lat", []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := quantile.NewEstimator(quantile.BackendMRL, quantile.Config{Epsilon: cfg.Epsilon, N: cfg.N, Seed: metricSeed("lat")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.AddBatch([]float64{7}); err != nil {
+		t.Fatal(err)
+	}
+	m := reg.get("lat")
+
+	m.mu.Lock()
+	before := m.gen.Load()
+	mutations := []func() error{
+		func() error { return reg.Ingest("lat", []float64{4, 5, 6}) },
+		func() error { return reg.Rotate("lat") },
+		func() error { return m.restore(restored) },
+	}
+	errs := make([]error, len(mutations))
+	var wg sync.WaitGroup
+	for i, mutate := range mutations {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = mutate()
+		}()
+	}
+	// The mutations cannot finish while the lock is held; give them time to
+	// reach it and watch the generation meanwhile.
+	moved := false
+	for deadline := time.Now().Add(100 * time.Millisecond); !moved && time.Now().Before(deadline); runtime.Gosched() {
+		moved = m.gen.Load() != before
+	}
+	m.mu.Unlock()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved {
+		t.Fatal("a mutation moved the query-cache generation before taking the metric's lock")
+	}
+	if got := m.gen.Load(); got != before+uint64(len(mutations)) {
+		t.Fatalf("generation %d after %d mutations from %d", got, len(mutations), before)
+	}
 }
 
 // TestQueryCacheHitsAndInvalidation drives the full HTTP loop: repeated

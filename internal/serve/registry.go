@@ -143,10 +143,10 @@ type metric struct {
 	// restoredCount is the element count checkpoints restored into all.
 	restoredCount int64
 
-	// gen counts mutations (ingest, replay, rotation, restore). Query-cache
-	// entries are stamped with the generation they were computed under and
-	// served only while it still matches, so a cached answer can never
-	// outlive the data it summarised.
+	// gen counts mutations (ingest, replay, rotation, restore), each bumped
+	// while holding mu. Query-cache entries are stamped with the generation
+	// they were computed under and served only while it still matches, so a
+	// cached answer can never outlive the data it summarised.
 	gen     atomic.Uint64
 	cacheMu sync.Mutex
 	cache   map[queryCacheKey]queryCacheEntry
@@ -394,105 +394,8 @@ func (r *Registry) Ingest(name string, vs []float64) error {
 	if err := r.validateBatch(name, vs, nil); err != nil {
 		return err
 	}
-	return m.applyPlain(vs, false)
-}
-
-// applyPlain folds one plain batch into the metric — the single apply path
-// shared by synchronous ingest, the async drainers, and WAL replay (replay
-// bypasses the window ring and counts values as replayed). Values are
-// NaN-free by the caller's validation.
-func (m *metric) applyPlain(vs []float64, replay bool) error {
-	if !replay {
-		m.batches.Add(1)
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	m.gen.Add(1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.all.AddBatch(vs); err != nil {
-		return err
-	}
-	if replay {
-		m.replayed.Add(int64(len(vs)))
-		return nil
-	}
-	if m.ring != nil {
-		if err := m.ring.AddBatch(vs); err != nil {
-			return err
-		}
-	}
-	m.ingested.Add(int64(len(vs)))
-	return nil
-}
-
-// applyWeighted is applyPlain for weighted batches; the window ring is
-// bypassed (it summarises unweighted recency).
-func (m *metric) applyWeighted(vs, ws []float64, replay bool) error {
-	if !replay {
-		m.batches.Add(1)
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	m.gen.Add(1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.all.(*quantile.Weighted)
-	if !ok {
-		return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, m.name, m.backend)
-	}
-	if err := w.AddWeightedBatch(vs, ws); err != nil {
-		return err
-	}
-	if replay {
-		m.replayed.Add(int64(len(vs)))
-	} else {
-		m.ingested.Add(int64(len(vs)))
-	}
-	return nil
-}
-
-// applyCoalesced folds a run of adjacent plain batches under one hold of
-// the metric's lock and one generation bump. Element order across the
-// slices is exactly the FIFO order the batches were acked in, so the result
-// is identical to applying them one by one.
-func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
-	var n int64
-	for _, vs := range vss {
-		n += int64(len(vs))
-	}
-	if !replay {
-		m.batches.Add(int64(len(vss)))
-	}
-	if n == 0 {
-		return nil
-	}
-	m.gen.Add(1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, vs := range vss {
-		if err := m.all.AddBatch(vs); err != nil {
-			return err
-		}
-	}
-	if replay {
-		m.replayed.Add(n)
-		return nil
-	}
-	if m.ring != nil {
-		for _, vs := range vss {
-			if len(vs) == 0 {
-				continue
-			}
-			if err := m.ring.AddBatch(vs); err != nil {
-				return err
-			}
-		}
-	}
-	m.ingested.Add(n)
-	return nil
+	_, err = m.apply([]applyItem{{vs: vs}})
+	return err
 }
 
 // IngestWeighted routes one batch of (value, weight) pairs into the metric's
@@ -502,6 +405,9 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 // summarises unweighted recency and has no way to carry weights.
 // All-or-nothing like Ingest.
 func (r *Registry) IngestWeighted(name string, vs, ws []float64) error {
+	if ws == nil {
+		ws = []float64{} // a weighted batch, whatever its length
+	}
 	if err := r.validateBatch(name, vs, ws); err != nil {
 		return err
 	}
@@ -509,7 +415,60 @@ func (r *Registry) IngestWeighted(name string, vs, ws []float64) error {
 	if err != nil {
 		return err
 	}
-	return m.applyWeighted(vs, ws, false)
+	_, err = m.apply([]applyItem{{vs: vs, ws: ws}})
+	return err
+}
+
+// apply folds one FIFO run of batches, any mix of plain, weighted and
+// replayed, into the metric under one hold of its lock, so a reader sees
+// the run whole. It is the one apply path: the async drainers pass the
+// backlog they drain, the synchronous Ingest and IngestWeighted a run of
+// one. Plain batches land in the all-time summary and, unless replayed, in
+// the window ring; weighted batches land in the all-time summary only;
+// replayed values count as replayed rather than ingested. Values are
+// validated by the caller. A failing batch does not stop the rest of the
+// run: apply returns how many failed and the last failure.
+//
+// The query-cache generation moves inside the same hold. A query that reads
+// the new generation therefore answers after the run, and one that read the
+// old generation stamps its answer with it, so that answer is never served
+// once the run has landed.
+func (m *metric) apply(run []applyItem) (failed int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	changed := false
+	for _, it := range run {
+		if !it.replay {
+			m.batches.Add(1)
+		}
+		if len(it.vs) == 0 {
+			continue
+		}
+		changed = true
+		var e error
+		if it.ws != nil {
+			if w, ok := m.all.(*quantile.Weighted); ok {
+				e = w.AddWeightedBatch(it.vs, it.ws)
+			} else {
+				e = fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, m.name, m.backend)
+			}
+		} else if e = m.all.AddBatch(it.vs); e == nil && m.ring != nil && !it.replay {
+			e = m.ring.AddBatch(it.vs)
+		}
+		if e != nil {
+			failed, err = failed+1, e
+			continue
+		}
+		if it.replay {
+			m.replayed.Add(int64(len(it.vs)))
+		} else {
+			m.ingested.Add(int64(len(it.vs)))
+		}
+	}
+	if changed {
+		m.gen.Add(1)
+	}
+	return failed, err
 }
 
 // validateBatch is the one ingest validator, run by every write path before
@@ -645,13 +604,7 @@ func (r *Registry) Rotate(name string) error {
 	if m.ring == nil {
 		return ErrWindowingDisabled
 	}
-	// Rotation is a drain barrier: batches acked before the rotation belong
-	// to the closing window, not the fresh one.
-	m.q.drain(m)
-	m.gen.Add(1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ring.Rotate()
+	return m.rotate()
 }
 
 // RotateAll tumbles every windowed metric's ring, returning the names it
@@ -663,17 +616,24 @@ func (r *Registry) RotateAll() ([]string, error) {
 		if m == nil || m.ring == nil {
 			continue
 		}
-		m.q.drain(m)
-		m.gen.Add(1)
-		m.mu.Lock()
-		err := m.ring.Rotate()
-		m.mu.Unlock()
-		if err != nil {
+		if err := m.rotate(); err != nil {
 			return rotated, fmt.Errorf("serve: rotating %q: %w", name, err)
 		}
 		rotated = append(rotated, name)
 	}
 	return rotated, nil
+}
+
+// rotate tumbles the metric's window ring, moving the query-cache
+// generation under the same hold of the metric's lock (see apply).
+// Rotation is a drain barrier: batches acked before the rotation belong to
+// the closing window, not the fresh one.
+func (m *metric) rotate() error {
+	m.q.drain(m)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.gen.Add(1)
+	return m.ring.Rotate()
 }
 
 // QueryResult is one answered quantile query together with its runtime
@@ -712,8 +672,11 @@ func (r *Registry) Quantiles(name string, phis []float64, windowed bool) (QueryR
 // rawKey is the client's phi parameter verbatim (a hit costs one map lookup,
 // no parsing), and any mutation of the metric — ingest, WAL replay, window
 // rotation, checkpoint restore — bumps the generation and so invalidates
-// every entry at once. An entry raced with a concurrent write is stamped
-// with the pre-write generation and can only miss, never serve stale data.
+// every entry at once. Every mutation bumps it while holding the metric's
+// lock, so an answer computed under the lock reflects every mutation up to
+// the generation read before it: an entry raced with a concurrent write is
+// stamped with the pre-write generation and can only miss, never serve
+// stale data.
 func (r *Registry) QuantilesCached(name, rawKey string, phis []float64, windowed bool) (QueryResult, error) {
 	m := r.get(name)
 	if m == nil {
@@ -929,8 +892,8 @@ type ApplyStatus struct {
 	// PendingBatches is the applied-vs-acked lag summed over all metrics.
 	PendingBatches uint64 `json:"pendingBatches"`
 	// EnqueuedBatches and AppliedBatches count batches through the pipeline;
-	// CoalescedBatches is the subset applied as part of a multi-batch
-	// coalesced run (CoalescedRatio = coalesced/applied).
+	// CoalescedBatches is the subset applied in a run of more than one, under
+	// one hold of the metric's lock (CoalescedRatio = coalesced/applied).
 	EnqueuedBatches  int64   `json:"enqueuedBatches"`
 	AppliedBatches   int64   `json:"appliedBatches"`
 	CoalescedBatches int64   `json:"coalescedBatches"`

@@ -20,9 +20,10 @@ import (
 	"mrl/quantile"
 )
 
-// defaultMaxIngestBody caps one POST /ingest request; 32 MiB is ~2M
-// JSON-encoded values, far beyond any sane batch.
-const defaultMaxIngestBody = 32 << 20
+// DefaultMaxIngestBytes caps one ingest request body unless
+// Options.MaxIngestBytes says otherwise; 32 MiB is ~2M JSON-encoded values,
+// far beyond any sane batch.
+const DefaultMaxIngestBytes = 32 << 20
 
 // Options configures the HTTP server wrapped around a Registry.
 type Options struct {
@@ -107,7 +108,7 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.MaxIngestBytes <= 0 {
-		o.MaxIngestBytes = defaultMaxIngestBody
+		o.MaxIngestBytes = DefaultMaxIngestBytes
 	}
 	if o.BinIdleTimeout == 0 {
 		o.BinIdleTimeout = 2 * time.Minute
@@ -334,7 +335,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON answer with the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -343,9 +345,35 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+// WriteError writes the JSON error answer {"error": "..."} with the given
+// status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
+
+// ReadIngestBody reads r's body, at most limit bytes, into buf (reusing its
+// capacity). On failure it has already answered: 413 for a body over the
+// limit, 400 for a body that could not be read.
+func ReadIngestBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, bool) {
+	buf, err := readFullBody(http.MaxBytesReader(w, r.Body, limit), buf)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			WriteError(w, http.StatusRequestEntityTooLarge, err)
+		} else {
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
+		}
+		return buf, false
+	}
+	return buf, true
+}
+
+// The refusals of an ingest body that carries nothing, shared by the node's
+// carriers and the forwarding splitters.
+var (
+	errEmptyIngestBody = errors.New("serve: empty ingest body")
+	errNoBatchFrames   = errors.New("serve: binary ingest body carries no batch frames")
+)
 
 // statusFor maps registry failures onto HTTP status codes.
 func statusFor(err error) int {
@@ -380,7 +408,8 @@ type ingestRequest struct {
 	Weights []float64 `json:"weights"`
 }
 
-type ingestResponse struct {
+// IngestResponse is the JSON answer to an accepted ingest request.
+type IngestResponse struct {
 	// Accepted is the number of values ingested across all objects in the
 	// request body.
 	Accepted int64 `json:"accepted"`
@@ -395,7 +424,7 @@ func (s *Server) writeIngestError(w http.ResponseWriter, err error) {
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
-	writeError(w, code, err)
+	WriteError(w, code, err)
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -411,27 +440,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// ingest request allocates no decode buffers.
 	sc := getIngestScratch()
 	defer putIngestScratch(sc)
-	var err error
-	sc.body, err = readFullBody(http.MaxBytesReader(w, r.Body, s.opt.MaxIngestBytes), sc.body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
+	var ok bool
+	if sc.body, ok = ReadIngestBody(w, r, s.opt.MaxIngestBytes, sc.body); !ok {
 		return
 	}
-	var resp ingestResponse
+	var resp IngestResponse
 	rest := sc.body
 	for {
-		var obj []byte
-		obj, rest, err = nextJSONValue(rest)
+		obj, tail, err := nextJSONValue(rest)
+		rest = tail
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
 			return
 		}
 		sc.req.Metric = ""
@@ -439,7 +461,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sc.req.Values = sc.req.Values[:0]
 		sc.req.Weights = sc.req.Weights[:0]
 		if err := json.Unmarshal(obj, &sc.req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
 			return
 		}
 		if sc.req.Backend != "" {
@@ -462,10 +484,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		resp.Batches++
 	}
 	if resp.Batches == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("serve: empty ingest body"))
+		WriteError(w, http.StatusBadRequest, errEmptyIngestBody)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 type quantileResponse struct {
@@ -481,8 +503,9 @@ type quantileResponse struct {
 	Epsilon    float64 `json:"epsilon"`
 }
 
-// parsePhis parses a comma-separated phi list, e.g. "0.5,0.99,0.999".
-func parsePhis(raw string) ([]float64, error) {
+// ParsePhis parses a comma-separated phi list, e.g. "0.5,0.99,0.999": the
+// phi syntax of every /quantile endpoint.
+func ParsePhis(raw string) ([]float64, error) {
 	if raw == "" {
 		return nil, errors.New("serve: missing phi parameter")
 	}
@@ -504,26 +527,26 @@ func parsePhis(raw string) ([]float64, error) {
 func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rawPhis := q.Get("phi")
-	phis, err := parsePhis(rawPhis)
+	phis, err := ParsePhis(rawPhis)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	windowed := false
 	if raw := q.Get("window"); raw != "" {
 		windowed, err = strconv.ParseBool(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad window parameter %q", raw))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad window parameter %q", raw))
 			return
 		}
 	}
 	name := q.Get("metric")
 	res, err := s.reg.QuantilesCached(name, rawPhis, phis, windowed)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, quantileResponse{
+	WriteJSON(w, http.StatusOK, quantileResponse{
 		Metric:     name,
 		Window:     windowed,
 		Phis:       phis,
@@ -541,21 +564,21 @@ type rotateResponse struct {
 func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 	if name := r.URL.Query().Get("metric"); name != "" {
 		if err := s.reg.Rotate(name); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, rotateResponse{Rotated: []string{name}})
+		WriteJSON(w, http.StatusOK, rotateResponse{Rotated: []string{name}})
 		return
 	}
 	rotated, err := s.reg.RotateAll()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if rotated == nil {
 		rotated = []string{}
 	}
-	writeJSON(w, http.StatusOK, rotateResponse{Rotated: rotated})
+	WriteJSON(w, http.StatusOK, rotateResponse{Rotated: rotated})
 }
 
 // QueryCacheStatus is the observability view of the read-path fast lane.
@@ -577,7 +600,7 @@ type metricszResponse struct {
 // the apply queues, so the applied-vs-acked lag is visible here.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	hits, misses, entries := s.reg.CacheStatus()
-	writeJSON(w, http.StatusOK, metricszResponse{
+	WriteJSON(w, http.StatusOK, metricszResponse{
 		Metrics:      s.reg.Status(),
 		Durability:   s.durabilityStatus(),
 		QueryCache:   QueryCacheStatus{Hits: hits, Misses: misses, Entries: entries},
@@ -608,5 +631,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Reason = lastErr
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }

@@ -53,19 +53,19 @@ func TestParsePhis(t *testing.T) {
 		{"1.1", nil},
 		{"1e300", nil},
 	} {
-		got, err := parsePhis(tc.raw)
+		got, err := ParsePhis(tc.raw)
 		if tc.want == nil {
 			if err == nil {
-				t.Errorf("parsePhis(%q) = %v, want error", tc.raw, got)
+				t.Errorf("ParsePhis(%q) = %v, want error", tc.raw, got)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parsePhis(%q): %v", tc.raw, err)
+			t.Errorf("ParsePhis(%q): %v", tc.raw, err)
 			continue
 		}
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parsePhis(%q) = %v, want %v", tc.raw, got, tc.want)
+			t.Errorf("ParsePhis(%q) = %v, want %v", tc.raw, got, tc.want)
 		}
 	}
 }

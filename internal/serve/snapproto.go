@@ -197,12 +197,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("metric")
 	parts, err := s.reg.SnapshotParts(name)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	body, err := EncodeSnapshot(parts)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
