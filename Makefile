@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalBinary    -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzRadixSortVsStdlib  -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCombine            -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzCollapse           -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzConcurrentAdd      -fuzztime=$(FUZZTIME) ./quantile/
 	$(GO) test -run='^$$' -fuzz=FuzzSketchBinaryRoundTrip -fuzztime=$(FUZZTIME) ./quantile/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay             -fuzztime=$(FUZZTIME) ./internal/wal/

@@ -88,8 +88,8 @@ func BenchmarkRank(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectInMerge measures the counter-based weighted selection that
-// underlies both COLLAPSE and OUTPUT.
+// BenchmarkSelectInMerge measures OUTPUT's weighted selection, the merge
+// walk; COLLAPSE selects with BenchmarkCollapse's kernel instead.
 func BenchmarkSelectInMerge(b *testing.B) {
 	for _, c := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("buffers=%d", c), func(b *testing.B) {
@@ -105,17 +105,67 @@ func BenchmarkSelectInMerge(b *testing.B) {
 				bufs[i] = Weighted{Data: data, Weight: int64(i + 1)}
 			}
 			targets := make([]int64, k)
-			total := TotalWeight(bufs)
+			total := totalWeight(bufs)
 			for j := range targets {
 				targets[j] = int64(j)*total/int64(k) + 1
 			}
 			out := make([]float64, k)
+			var sc mergeScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				selectInMerge(bufs, targets, out)
+				selectInMergeScratch(bufs, targets, out, &sc)
 			}
 			b.SetBytes(int64(8 * c * k))
 		})
+	}
+}
+
+// BenchmarkCollapse measures COLLAPSE's selection of every w-th merged
+// position: the kernel (selectEvery) beside the merge walk that OUTPUT
+// keeps, on the same runs and targets, at the served buffer sizes (k = 4371
+// all-time and 3031 per window) and cohorts of c buffers. ns/elem is the
+// time per merged element.
+func BenchmarkCollapse(b *testing.B) {
+	for _, k := range []int{4371, 3031} {
+		for _, c := range []int{2, 3, 5, 8, 32} {
+			r := rand.New(rand.NewSource(7))
+			runs := make([]Weighted, c)
+			var w int64
+			for i := range runs {
+				data := make([]float64, k)
+				for j := range data {
+					data[j] = r.Float64()
+				}
+				sort.Float64s(data)
+				runs[i] = Weighted{Data: data, Weight: int64(1 + i%3)}
+				w += runs[i].Weight
+			}
+			offset := (w + 1) / 2
+			targets := make([]int64, k)
+			for j := range targets {
+				targets[j] = int64(j)*w + offset
+			}
+			out := make([]float64, k)
+			perElem := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c*k), "ns/elem")
+			}
+			b.Run(fmt.Sprintf("k=%d/c=%d/kernel", k, c), func(b *testing.B) {
+				var sc scratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sc.selectEvery(runs, w, offset, out)
+				}
+				perElem(b)
+			})
+			b.Run(fmt.Sprintf("k=%d/c=%d/walk", k, c), func(b *testing.B) {
+				var sc mergeScratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					selectInMergeScratch(runs, targets, out, &sc)
+				}
+				perElem(b)
+			})
+		}
 	}
 }
 

@@ -30,34 +30,9 @@ type Weighted struct {
 	Weight int64
 }
 
-// TotalWeight returns the weighted length of the merge of bufs, i.e. the
-// number of (virtual) copies the paper's COLLAPSE and OUTPUT operators sort.
-func TotalWeight(bufs []Weighted) int64 {
-	var t int64
-	for _, b := range bufs {
-		t += b.Weight * int64(len(b.Data))
-	}
-	return t
-}
-
-// SelectInMerge returns the elements at the given 1-based positions of the
-// weighted merge of bufs, without materialising the duplicate copies: while
-// merging, a counter advances by the weight of the source buffer of each
-// selected element, exactly as described in Section 3.2 of the paper.
-//
-// Each buffer's Data must be sorted ascending and targets must be sorted
-// ascending. Positions beyond the total weighted length are clamped to the
-// last element; positions below 1 are clamped to the first. The result is
-// parallel to targets.
-func SelectInMerge(bufs []Weighted, targets []int64) []float64 {
-	out := make([]float64, len(targets))
-	selectInMerge(bufs, targets, out)
-	return out
-}
-
-// mergeScratch holds the cursor state of one weighted-merge selection so
-// repeated selections (every COLLAPSE and every query of a sketch) reuse it
-// instead of allocating per call.
+// mergeScratch holds the cursor state of one OUTPUT walk, so a sketch's
+// repeated queries, and the combines that borrow a pooled queryScratch,
+// reuse it instead of allocating per call.
 type mergeScratch struct {
 	heads []int
 	heap  []mergeHead
@@ -84,24 +59,26 @@ func (m *mergeScratch) heapFor(n int) []mergeHead {
 	return m.heap[:0]
 }
 
-// mergeHeapThreshold is the buffer count above which selectInMerge switches
-// from a linear head scan (O(c) per element, cache friendly, fastest for
-// the small c of the Munro-Paterson and new policies) to a binary min-heap
-// (O(log c) per element — the Alsabti-Ranka-Singh policy collapses c = b/2
-// buffers, which reaches the thousands at realistic Table 1 geometries).
+// mergeHeapThreshold is the run count above which selectInMergeScratch
+// switches from a linear head scan (O(c) per element, cache friendly,
+// fastest for the few full buffers of one sketch) to a binary min-heap
+// (O(log c) per element). OUTPUT merges every full buffer of every sketch
+// it answers for: a combine of windows or partitions passes tens of runs,
+// and a sketch with Table 1's larger b passes up to b.
 const mergeHeapThreshold = 8
 
-// selectInMerge is the allocation-light core of SelectInMerge. out must
-// have the same length as targets. Cursor state is allocated per call; the
-// sketch hot paths use selectInMergeScratch instead.
-func selectInMerge(bufs []Weighted, targets []int64, out []float64) {
-	var sc mergeScratch
-	selectInMergeScratch(bufs, targets, out, &sc)
-}
-
-// selectInMergeScratch is selectInMerge with caller-owned cursor state: at
-// steady state (scratch already grown to the sketch's buffer count) a
-// selection performs zero allocations.
+// selectInMergeScratch is OUTPUT's selection, and the oracle for
+// COLLAPSE's selectEvery. It stores in out the elements at the given
+// 1-based positions of the weighted merge of bufs without materialising the
+// duplicate copies: while merging, a counter advances by the weight of the
+// source buffer of each selected element, as described in Section 3.2 of
+// the paper.
+//
+// Each buffer's Data must be sorted ascending and targets must be sorted
+// ascending; out must be as long as targets. Positions beyond the total
+// weighted length are clamped to the last element; positions below 1 are
+// clamped to the first. The cursor state is the caller's: at steady state
+// (sc already grown to the run count) a selection allocates nothing.
 func selectInMergeScratch(bufs []Weighted, targets []int64, out []float64, sc *mergeScratch) {
 	if len(targets) == 0 {
 		return
@@ -174,8 +151,8 @@ func headLess(a, b mergeHead) bool {
 	return a.v < b.v || (a.v == b.v && a.buf < b.buf)
 }
 
-// selectInMergeHeap is the wide-merge variant of selectInMerge: a binary
-// min-heap over the buffer fronts.
+// selectInMergeHeap is the wide-merge variant of selectInMergeScratch: a
+// binary min-heap over the buffer fronts.
 func selectInMergeHeap(bufs []Weighted, targets []int64, out []float64, sc *mergeScratch) {
 	heads := sc.headsFor(len(bufs))
 	h := sc.heapFor(len(bufs))

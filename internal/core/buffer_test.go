@@ -6,12 +6,30 @@ import (
 	"testing"
 )
 
+// walkSelect runs OUTPUT's walk on fresh cursor state.
+func walkSelect(bufs []Weighted, targets []int64) []float64 {
+	out := make([]float64, len(targets))
+	var sc mergeScratch
+	selectInMergeScratch(bufs, targets, out, &sc)
+	return out
+}
+
+// totalWeight is the weighted length of the merge of bufs: the number of
+// (virtual) copies the paper's COLLAPSE and OUTPUT operators sort.
+func totalWeight(bufs []Weighted) int64 {
+	var t int64
+	for _, b := range bufs {
+		t += b.Weight * int64(len(b.Data))
+	}
+	return t
+}
+
 func TestSelectInMergeSingleBuffer(t *testing.T) {
 	bufs := []Weighted{{Data: []float64{10, 20, 30, 40}, Weight: 1}}
-	got := SelectInMerge(bufs, []int64{1, 2, 3, 4})
+	got := walkSelect(bufs, []int64{1, 2, 3, 4})
 	want := []float64{10, 20, 30, 40}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SelectInMerge = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 }
 
@@ -24,32 +42,32 @@ func TestSelectInMergeWeighted(t *testing.T) {
 	}
 	targets := []int64{1, 2, 3, 5, 6, 7, 8, 10}
 	want := []float64{1, 1, 2, 2, 3, 3, 4, 4}
-	got := SelectInMerge(bufs, targets)
+	got := walkSelect(bufs, targets)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SelectInMerge = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 }
 
 func TestSelectInMergeClamping(t *testing.T) {
 	bufs := []Weighted{{Data: []float64{5, 6}, Weight: 2}}
-	got := SelectInMerge(bufs, []int64{-3, 0, 4, 9})
+	got := walkSelect(bufs, []int64{-3, 0, 4, 9})
 	want := []float64{5, 5, 6, 6}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SelectInMerge = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 }
 
 func TestSelectInMergeEmptyTargets(t *testing.T) {
 	bufs := []Weighted{{Data: []float64{1}, Weight: 1}}
-	if got := SelectInMerge(bufs, nil); len(got) != 0 {
-		t.Fatalf("SelectInMerge with no targets = %v, want empty", got)
+	if got := walkSelect(bufs, nil); len(got) != 0 {
+		t.Fatalf("walk with no targets = %v, want empty", got)
 	}
 }
 
 func TestSelectInMergeNoData(t *testing.T) {
-	got := SelectInMerge(nil, []int64{1})
+	got := walkSelect(nil, []int64{1})
 	if len(got) != 1 || !math.IsNaN(got[0]) {
-		t.Fatalf("SelectInMerge over no buffers = %v, want [NaN]", got)
+		t.Fatalf("walk over no buffers = %v, want [NaN]", got)
 	}
 }
 
@@ -60,10 +78,10 @@ func TestSelectInMergeDuplicates(t *testing.T) {
 	}
 	// Virtual sequence: 7,7,7,7,7,8,8 (the weight-2 seven first on ties is
 	// an implementation detail; values are all that matters).
-	got := SelectInMerge(bufs, []int64{1, 5, 6, 7})
+	got := walkSelect(bufs, []int64{1, 5, 6, 7})
 	want := []float64{7, 7, 8, 8}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SelectInMerge = %v, want %v", got, want)
+		t.Fatalf("walk = %v, want %v", got, want)
 	}
 }
 
@@ -72,10 +90,10 @@ func TestSelectInMergeTieBreakDeterministic(t *testing.T) {
 		{Data: []float64{1, 2}, Weight: 5},
 		{Data: []float64{1, 2}, Weight: 1},
 	}
-	a := SelectInMerge(bufs, []int64{1, 6, 7, 12})
-	b := SelectInMerge(bufs, []int64{1, 6, 7, 12})
+	a := walkSelect(bufs, []int64{1, 6, 7, 12})
+	b := walkSelect(bufs, []int64{1, 6, 7, 12})
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("SelectInMerge not deterministic: %v vs %v", a, b)
+		t.Fatalf("walk not deterministic: %v vs %v", a, b)
 	}
 }
 
@@ -84,11 +102,11 @@ func TestTotalWeight(t *testing.T) {
 		{Data: []float64{1, 2, 3}, Weight: 2},
 		{Data: []float64{4}, Weight: 5},
 	}
-	if got := TotalWeight(bufs); got != 11 {
-		t.Fatalf("TotalWeight = %d, want 11", got)
+	if got := totalWeight(bufs); got != 11 {
+		t.Fatalf("totalWeight = %d, want 11", got)
 	}
-	if got := TotalWeight(nil); got != 0 {
-		t.Fatalf("TotalWeight(nil) = %d, want 0", got)
+	if got := totalWeight(nil); got != 0 {
+		t.Fatalf("totalWeight(nil) = %d, want 0", got)
 	}
 }
 
@@ -118,8 +136,8 @@ func TestSelectInMergeAgainstMaterialized(t *testing.T) {
 	for i := range targets {
 		targets[i] = int64(i + 1)
 	}
-	got := SelectInMerge(bufs, targets)
+	got := walkSelect(bufs, targets)
 	if !reflect.DeepEqual(got, expanded) {
-		t.Fatalf("SelectInMerge = %v\nwant full expansion %v", got, expanded)
+		t.Fatalf("walk = %v\nwant full expansion %v", got, expanded)
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -113,4 +116,110 @@ func TestCollapseDefinitelySmallCounting(t *testing.T) {
 	if weightedSmall < s*w-(w-offset) {
 		t.Fatalf("Lemma 4 step violated: %d < %d", weightedSmall, s*w-(w-offset))
 	}
+}
+
+// collapseValues is what FuzzCollapse's runs hold besides quarter-integer
+// ties: both zeros, both infinities, the extreme finite values and
+// subnormals of both signs.
+var collapseValues = []float64{
+	math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+	math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 2.5e-310, 1,
+	math.MaxFloat64, math.Inf(1),
+}
+
+// collapseCohort draws c sorted runs from raw, with values tied across runs
+// and weights from 1 to 2^20. Each run holds k elements, or for k = 0 a
+// length up to len(raw) of its own.
+func collapseCohort(raw []byte, c, k int, seed int64) []Weighted {
+	r := rand.New(rand.NewSource(seed))
+	runs := make([]Weighted, c)
+	for i := range runs {
+		n := k
+		if k == 0 {
+			n = r.Intn(len(raw) + 1)
+		}
+		data := make([]float64, n)
+		for j := range data {
+			if b := raw[r.Intn(len(raw))]; b < 64 {
+				data[j] = collapseValues[int(b)%len(collapseValues)]
+			} else {
+				data[j] = float64(int(b)-160) / 4
+			}
+		}
+		sort.Float64s(data)
+		runs[i] = Weighted{Data: data, Weight: 1 + r.Int63n(1<<r.Intn(21))}
+	}
+	return runs
+}
+
+// checkSelectEvery runs COLLAPSE's selection of k targets over runs with
+// the offset collapse gives their total weight (for an even weight, the
+// high or the low one) and requires the bits the merge walk picks.
+func checkSelectEvery(t *testing.T, sc *scratch, runs []Weighted, k int, high bool) {
+	t.Helper()
+	var w int64
+	for _, r := range runs {
+		w += r.Weight
+	}
+	offset := w / 2
+	if w%2 == 1 || high {
+		offset = (w + 2) / 2
+	}
+	got := make([]float64, k)
+	sc.selectEvery(runs, w, offset, got)
+	targets := make([]int64, k)
+	for j := range targets {
+		targets[j] = int64(j)*w + offset
+	}
+	want := walkSelect(runs, targets)
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("c=%d w=%d offset=%d: target %d picks %v (%#x), the walk %v (%#x)",
+				len(runs), w, offset, targets[j], got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// FuzzCollapse compares COLLAPSE's selection kernel with the merge walk bit
+// for bit on fuzzed cohorts of 2 to 16 runs, as many targets as the longest
+// run holds (so the shorter runs leave targets past the merge), and every
+// offset rule: odd weights, and even ones with the high or the low offset.
+func FuzzCollapse(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(0), int64(1), true)
+	f.Add([]byte{4, 5, 4, 5, 200, 200, 161, 160, 159}, uint8(1), int64(2), false)
+	f.Add([]byte("ties across runs at every weight"), uint8(14), int64(3), true)
+	f.Fuzz(func(t *testing.T, raw []byte, c uint8, seed int64, high bool) {
+		runs := collapseCohort(raw, 2+int(c)%15, 0, seed)
+		k := 0
+		for _, r := range runs {
+			k = max(k, len(r.Data))
+		}
+		checkSelectEvery(t, new(scratch), runs, k, high)
+	})
+}
+
+// TestSelectEveryMatchesWalk covers what the fuzz target does not reach by
+// default: cohorts of 33 and 64 runs, the Alsabti-Ranka-Singh sizes the
+// walk merged with its heap, in collapse's own shape (every run holds k
+// elements) and with unequal runs, on one scratch reused as cohorts grow
+// and shrink.
+func TestSelectEveryMatchesWalk(t *testing.T) {
+	raw := make([]byte, 256)
+	for i := range raw {
+		raw[i] = byte(i * 97)
+	}
+	var sc scratch
+	for i, c := range []int{33, 64, 2, 40, 3, 5, 64, 8} {
+		for _, high := range []bool{true, false} {
+			checkSelectEvery(t, &sc, collapseCohort(raw, c, 100, int64(i)), 100, high)
+			checkSelectEvery(t, &sc, collapseCohort(raw, c, 0, int64(i)), len(raw), high)
+		}
+	}
+	// Targets past the merge take its last element: the walk's, the +0 that
+	// follows the tied -0 of the lower run.
+	zeros := []Weighted{
+		{Data: []float64{-1, math.Copysign(0, -1)}, Weight: 1},
+		{Data: []float64{0}, Weight: 1},
+	}
+	checkSelectEvery(t, &sc, zeros, 4, true)
 }

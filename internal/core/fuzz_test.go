@@ -90,8 +90,8 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		// OUTPUT's rank arithmetic assumes the merge has exactly Count
 		// slots.
-		if views, err := s.FinalBuffersRaw(); s.Count() > 0 && (err != nil || TotalWeight(views) != s.Count()) {
-			t.Fatalf("Count %d but the buffers hold %d weighted slots (err %v)", s.Count(), TotalWeight(views), err)
+		if views, err := s.FinalBuffersRaw(); s.Count() > 0 && (err != nil || totalWeight(views) != s.Count()) {
+			t.Fatalf("Count %d but the buffers hold %d weighted slots (err %v)", s.Count(), totalWeight(views), err)
 		}
 		if s.Count() > 0 {
 			if _, err := s.Quantile(0.5); err != nil {

@@ -25,7 +25,7 @@ func TestPropertyHeapMergeMatchesLinear(t *testing.T) {
 			sort.Float64s(data)
 			bufs[i] = Weighted{Data: data, Weight: int64(1 + r.Intn(5))}
 		}
-		total := TotalWeight(bufs)
+		total := totalWeight(bufs)
 		nt := 1 + r.Intn(12)
 		targets := make([]int64, nt)
 		for i := range targets {
@@ -56,7 +56,7 @@ func TestPropertyHeapMergeMatchesLinear(t *testing.T) {
 }
 
 // linearSelect re-implements the linear scan for the equivalence test
-// (selectInMerge itself dispatches to the heap above the threshold).
+// (selectInMergeScratch itself dispatches to the heap above the threshold).
 func linearSelect(bufs []Weighted, targets []int64, out []float64) {
 	heads := make([]int, len(bufs))
 	var pos int64

@@ -38,7 +38,7 @@ func TestPropertySelectInMergeMatchesExpansion(t *testing.T) {
 			targets[i] = int64(1 + r.Intn(len(expanded)))
 		}
 		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		got := SelectInMerge(bufs, targets)
+		got := walkSelect(bufs, targets)
 		for i, tgt := range targets {
 			if got[i] != expanded[tgt-1] {
 				return false

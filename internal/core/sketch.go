@@ -46,9 +46,6 @@ type Sketch struct {
 	// accounting, which is exactly what the ablation demonstrates.
 	noAlternation bool
 
-	// scratchW holds the COLLAPSE operand views (at most b of them).
-	scratchW []Weighted
-
 	// qry is the OUTPUT scratch; gen is the mutation generation that
 	// invalidates its cached sorted copy of the mid-fill buffer.
 	qry queryScratch
@@ -78,16 +75,18 @@ type queryScratch struct {
 	merge  mergeScratch
 }
 
-// scratch is the k-element working memory of one COLLAPSE (targets, output
-// and merge cursors) or one radix sort (keys and swap). Operations borrow
-// it from scratchPool and return it when they finish, so a sketch at rest
-// holds only its buffers, and steady-state operations still allocate
-// nothing.
+// scratch is the working memory of one COLLAPSE (operand views and
+// weights, the inner merges of selectEvery and the k-element output) or one
+// radix sort (keys and swap). Operations borrow it from scratchPool and
+// return it when they finish, so a sketch at rest holds only its buffers,
+// and steady-state operations still allocate nothing.
 type scratch struct {
-	targets    []int64
+	views      []Weighted
+	runW       []int64
+	vals       [2][]float64
+	wts        [2][]int64
 	out        []float64
 	keys, swap []uint64
-	merge      mergeScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -130,7 +129,6 @@ func NewSketch(b, k int, policy Policy) (*Sketch, error) {
 		runner:   runner,
 		bufs:     make([]*buffer, b),
 		evenHigh: true,
-		scratchW: make([]Weighted, 0, b),
 		gen:      1, // nonzero so a zero fillGen can never look current
 	}
 	for i := range s.bufs {
@@ -292,8 +290,9 @@ func (s *Sketch) completeFill() {
 }
 
 // collapse performs the paper's COLLAPSE on the given full buffers, storing
-// the k equally spaced elements of their weighted merge into inputs[0] and
-// marking the rest empty. The output buffer is stamped with level.
+// the k equally spaced elements of their weighted merge (selectEvery) into
+// inputs[0] and marking the rest empty. The output buffer is stamped with
+// level.
 func (s *Sketch) collapse(inputs []*buffer, level int) *buffer {
 	var w int64
 	for _, in := range inputs {
@@ -313,16 +312,14 @@ func (s *Sketch) collapse(inputs []*buffer, level int) *buffer {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.targets = growInt64(sc.targets, s.k)
-	for j := range sc.targets {
-		sc.targets[j] = int64(j)*w + offset
-	}
-	views := s.scratchW[:0]
+	views := sc.views[:0]
 	for _, in := range inputs {
 		views = append(views, Weighted{Data: in.data, Weight: in.weight})
 	}
 	sc.out = growFloat64(sc.out, s.k)
-	selectInMergeScratch(views, sc.targets, sc.out, &sc.merge)
+	sc.selectEvery(views, w, offset, sc.out)
+	clear(views) // a pooled scratch must not keep the buffers alive
+	sc.views = views
 
 	s.stats.Collapses++
 	s.stats.WeightSum += w
@@ -495,7 +492,6 @@ func (s *Sketch) Clone() *Sketch {
 	c.runner, _ = s.policy.runner() // s's policy is valid
 	c.bufs = make([]*buffer, len(s.bufs))
 	c.fill = nil
-	c.scratchW = make([]Weighted, 0, s.b)
 	c.qry = queryScratch{}
 	for i, b := range s.bufs {
 		nb := *b

@@ -433,8 +433,8 @@ func TestFinalBuffersAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unpadded, the weighted total is exactly the element count.
-	if total := TotalWeight(views); total != s.Count() {
-		t.Fatalf("TotalWeight = %d, want count %d", total, s.Count())
+	if total := totalWeight(views); total != s.Count() {
+		t.Fatalf("totalWeight = %d, want count %d", total, s.Count())
 	}
 	// FinalBuffersRaw must return copies: mutating them must not affect the
 	// sketch.
