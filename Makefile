@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover cover-gate bench bench-json bench-gate profile reproduce examples clean check vet fmtcheck fuzz-smoke crashtest cert-smoke chaos cluster-smoke perfbench
+.PHONY: all build test race cover cover-gate bench bench-json bench-gate profile reproduce examples clean check vet fmtcheck fuzz-smoke crashtest cert-smoke chaos cluster-smoke perfbench loc
 
 all: build test
 
@@ -170,6 +170,12 @@ examples:
 	$(GO) run ./examples/multicolumn
 	$(GO) run ./examples/monitoring
 	$(GO) run ./examples/quantiled
+
+# loc prints the non-blank lines that do not start with // in the non-test
+# Go sources, per package directory and in total (perfbench/ and
+# .bench_build/ excluded): the net line count each change reports.
+loc:
+	sh scripts/loc.sh
 
 clean:
 	rm -f test_output.txt bench_output.txt

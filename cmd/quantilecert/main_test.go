@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,16 +12,45 @@ import (
 	"mrl/internal/cert"
 )
 
+var update = flag.Bool("update", false, "rewrite the golden files with current output")
+
+// checkGolden compares a run's stderr followed by its stdout against
+// testdata/<name>.golden, rewriting the golden under -update. The sweep is
+// seeded and every stack answers deterministically, so any diff means an
+// answer, a bound or the scenario list moved.
+func checkGolden(t *testing.T, name string, stdout, stderr *bytes.Buffer) {
+	t.Helper()
+	got := append(append([]byte(nil), stderr.Bytes()...), stdout.Bytes()...)
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (run `go test ./cmd/quantilecert -update` to create it): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s; rerun with -update if the change is intended\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
 // TestRunCleanSweep: the default small sweep certifies clean with exit 0
-// and a PASS summary.
+// and a PASS summary, and its per-scenario log is pinned line for line.
 func TestRunCleanSweep(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-seed", "1", "-budget", "small"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-seed", "1", "-budget", "small", "-v"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d; stderr: %s; stdout: %s", code, stderr.String(), stdout.String())
 	}
 	if !strings.HasPrefix(stdout.String(), "PASS") {
 		t.Errorf("stdout = %q, want PASS summary", stdout.String())
 	}
+	checkGolden(t, "small_seed1", &stdout, &stderr)
 }
 
 // TestRunJSON: -json emits a decodable Result.
@@ -50,15 +80,17 @@ func TestRunBadFlags(t *testing.T) {
 }
 
 // TestRunSelftest: the built-in mutation check passes — the certifier
-// detects an injected bug — and reports it on stdout.
+// detects an injected bug — and reports it on stdout; the per-scenario log
+// and the reproducer it names are pinned line for line.
 func TestRunSelftest(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-selftest", "-seed", "1"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-selftest", "-seed", "1", "-v"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("selftest exit %d; stdout: %s; stderr: %s", code, stdout.String(), stderr.String())
 	}
 	if !strings.HasPrefix(stdout.String(), "SELFTEST PASS") {
 		t.Errorf("stdout = %q, want SELFTEST PASS", stdout.String())
 	}
+	checkGolden(t, "selftest_seed1", &stdout, &stderr)
 }
 
 // TestRunReplay exercises the full certificate lifecycle through the CLI:

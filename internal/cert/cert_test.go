@@ -183,6 +183,27 @@ func TestCheckRejectsMalformedScenarios(t *testing.T) {
 		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll", Estimator: EstimatorParallel},
 		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", B: 4, K: 8},
 		{Mode: ModeAffine, Policy: "new", Order: "shuffled", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll"},
+		// A weight profile needs the weighted backend, estimate mode, a
+		// stack that carries weights and a profile the harness knows.
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, WeightProfile: "cycle"},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll", WeightProfile: "cycle"},
+		{Mode: ModeDuplicates, Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", WeightProfile: "cycle"},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", WeightProfile: "cycle", Estimator: EstimatorParallel},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", WeightProfile: "cycle", Estimator: EstimatorCluster},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", WeightProfile: "lumpy"},
+		// Geometry a stack does not have: B on KLL, B or K on the weighted
+		// summary, B or K where serve or cluster nodes size their own.
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll", B: 4, K: 8},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll", B: 4, K: 8, Estimator: EstimatorConcurrent},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", WeightProfile: "cycle", K: 8},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", WeightProfile: "heavy", B: 4, Estimator: EstimatorConcurrent},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, B: 4, K: 8, Estimator: EstimatorServe},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, B: 4, Estimator: EstimatorCluster},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, K: 8, Estimator: EstimatorCluster},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Estimator: EstimatorCluster, ClusterVia: "pigeon"},
+		// The sampled claim needs a failure probability strictly inside (0,1).
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true},
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1},
 	}
 	for _, sc := range cases {
 		if _, err := c.Check(sc); err == nil {
