@@ -1,11 +1,11 @@
 // Command quantilecert runs the guarantee-certification sweep standalone:
 // every collapsing policy x arrival order x estimator stack x backend (MRL,
-// KLL, weighted at unit weight) x front-end is streamed against an exact
-// oracle and both the a-priori epsilon claim (where the backend makes one)
-// and the runtime ErrorBound are asserted, plus the metamorphic properties
-// (permutation-invariant accounting, merge associativity, duplicate and
-// affine equivariance). Failures are shrunk to minimal scenarios and
-// emitted as replayable JSON certificates.
+// KLL, weighted at unit and non-unit weights) x front-end is streamed
+// against an exact oracle and both the a-priori epsilon claim (where the
+// backend makes one) and the runtime ErrorBound are asserted, plus the
+// metamorphic properties (permutation-invariant accounting, merge
+// associativity, duplicate and affine equivariance). Failures are shrunk
+// to minimal scenarios and emitted as replayable JSON certificates.
 //
 // Usage:
 //

@@ -204,10 +204,59 @@ func TestCheckRejectsMalformedScenarios(t *testing.T) {
 		// The sampled claim needs a failure probability strictly inside (0,1).
 		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true},
 		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1},
+		// Scenarios that used to run as something else: only the direct MRL
+		// sketch has a sampling front-end, whose plan sizes its own
+		// geometry, the weighted summary and serve nodes have no K, only
+		// direct KLL takes a Delta, and the metamorphic modes run
+		// deterministic sketches.
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6, Estimator: EstimatorConcurrent},
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6, Estimator: EstimatorParallel},
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6, Estimator: EstimatorServe},
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6, Estimator: EstimatorCluster},
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6, Backend: "weighted", WeightProfile: "cycle"},
+		{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6, B: 4, K: 8},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", K: 8},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "weighted", K: 8, Estimator: EstimatorConcurrent},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, K: 8, Estimator: EstimatorServe},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll", Delta: 0.3, Estimator: EstimatorConcurrent},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, Backend: "kll", Delta: 0.3, Estimator: EstimatorServe},
+		{Mode: ModeAffine, Policy: "new", Order: "shuffled", Epsilon: 0.1, N: 20000, Phis: phis, Sampled: true, Delta: 1e-6},
+		// An MRL K without a B used to run the optimizer's geometry.
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, K: 8},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, K: 8, Estimator: EstimatorConcurrent},
+		{Policy: "new", Order: "sorted", Epsilon: 0.05, N: 256, Phis: phis, K: 8, Estimator: EstimatorParallel, Parts: 2},
+		{Mode: ModeBoundPermutation, Policy: "new", Order: "shuffled", Epsilon: 0.05, N: 256, K: 8},
 	}
 	for _, sc := range cases {
 		if _, err := c.Check(sc); err == nil {
 			t.Errorf("Check(%s) accepted a malformed scenario", sc.Name())
+		}
+	}
+}
+
+// TestScenarioName pins the compact identifier: a sampled scenario keeps
+// its backend and weight profile, and a K without a B (KLL's accuracy
+// parameter, which the shrinker pins) shows on its own.
+func TestScenarioName(t *testing.T) {
+	for _, tc := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Policy: "new", Order: "sorted", Epsilon: 0.1, N: 100},
+			"estimate/sketch/new/sorted/eps=0.1/n=100/phis=0/seed=0"},
+		{Scenario{Backend: "weighted", WeightProfile: "cycle", Sampled: true, Delta: 1e-6, Policy: "new", Order: "sorted", Epsilon: 0.1, N: 100},
+			"estimate/sketch/new/sorted/eps=0.1/n=100/phis=0/seed=0/backend=weighted/weights=cycle/sampled(delta=1e-06)"},
+		{Scenario{Sampled: true, Delta: 1e-6, Policy: "new", Order: "shuffled", Epsilon: 0.1, N: 20000, Phis: sweepPhis(), Seed: 4},
+			"estimate/sketch/new/shuffled/eps=0.1/n=20000/phis=9/seed=4/sampled(delta=1e-06)"},
+		{Scenario{Estimator: EstimatorConcurrent, Backend: "kll", K: 64, Policy: "new", Order: "sorted", Epsilon: 0.05, N: 512, Phis: []float64{0.5}, Seed: 2},
+			"estimate/concurrent/new/sorted/eps=0.05/n=512/phis=1/seed=2/backend=kll/k=64"},
+		{Scenario{Mode: ModeDuplicates, Policy: "munro-paterson", Order: "organ-pipe", Epsilon: 0.01, N: 2048, Seed: 7, B: 5, K: 9},
+			"duplicates/sketch/munro-paterson/organ-pipe/eps=0.01/n=2048/phis=0/seed=7/b=5,k=9"},
+		{Scenario{Estimator: EstimatorCluster, Backend: "weighted", Policy: "new", Order: "sorted", Epsilon: 0.05, N: 2048, Seed: 3, Nodes: 2, ClusterVia: "http"},
+			"estimate/cluster/new/sorted/eps=0.05/n=2048/phis=0/seed=3/backend=weighted/nodes=2/via=http"},
+	} {
+		if got := tc.sc.Name(); got != tc.want {
+			t.Errorf("Name() = %q, want %q", got, tc.want)
 		}
 	}
 }

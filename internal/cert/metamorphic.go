@@ -12,14 +12,15 @@ import (
 )
 
 // planGeometry resolves the (b, k) a metamorphic check runs with: the
-// scenario's explicit geometry if set, otherwise the optimizer's choice for
-// (policy, epsilon, N) — the same provisioning production code would use.
+// scenario's explicit geometry if either is set (the sketch refuses one
+// without the other), otherwise the optimizer's choice for (policy,
+// epsilon, N) — the same provisioning production code would use.
 func (sc Scenario) planGeometry() (b, k int, pol core.Policy, err error) {
 	pol, err = sc.corePolicy()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if sc.B > 0 {
+	if sc.B > 0 || sc.K > 0 {
 		return sc.B, sc.K, pol, nil
 	}
 	plan, err := params.Optimize(pol, sc.Epsilon, sc.N)
@@ -89,22 +90,14 @@ func (c *Certifier) checkBoundPermutation(sc Scenario) (Outcome, error) {
 // buildAbsorbParts streams contiguous splits of data into fresh sketches.
 func buildAbsorbParts(data []float64, parts, b, k int, pol core.Policy) ([]*core.Sketch, error) {
 	out := make([]*core.Sketch, 0, parts)
-	per := len(data) / parts
-	extra := len(data) % parts
-	pos := 0
-	for i := 0; i < parts; i++ {
-		sz := per
-		if i < extra {
-			sz++
-		}
+	for _, part := range split(data, parts) {
 		sk, err := core.NewSketch(b, k, pol)
 		if err != nil {
 			return nil, err
 		}
-		if err := sk.AddBatch(data[pos : pos+sz]); err != nil {
+		if err := sk.AddBatch(part); err != nil {
 			return nil, err
 		}
-		pos += sz
 		out = append(out, sk)
 	}
 	return out, nil
@@ -129,10 +122,7 @@ func (c *Certifier) checkAssociativity(sc Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 	data := stream.Drain(src)
-	parts := sc.partsOrDefault()
-	if parts > len(data) {
-		parts = len(data)
-	}
+	parts := min(sc.partsOrDefault(), len(data))
 	out := Outcome{Scenario: sc, Count: int64(len(data)), EpsRanks: -1, Bound: -1}
 
 	type merged struct {

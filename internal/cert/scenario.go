@@ -72,11 +72,12 @@ type Scenario struct {
 	Estimator string `json:"estimator,omitempty"`
 	// Backend selects the quantile summary implementation: "" or "mrl" is
 	// the paper's deterministic multi-level summary, "kll" the KLL sketch,
-	// "weighted" the GK-style weighted summary fed at unit weight. Non-MRL
-	// backends do not derive their geometry from (Epsilon, N) the MRL way,
-	// so the a-priori epsilon claim is void and only each backend's own
-	// runtime bound is asserted. Supported with EstimatorSketch,
-	// EstimatorConcurrent and EstimatorServe.
+	// "weighted" the GK-style weighted summary, fed at unit weight unless
+	// WeightProfile is set. Non-MRL backends do not derive their geometry
+	// from (Epsilon, N) the MRL way, so the a-priori epsilon claim is void
+	// and only each backend's own runtime bound is asserted. Supported with
+	// EstimatorSketch, EstimatorConcurrent, EstimatorServe and
+	// EstimatorCluster.
 	Backend string `json:"backend,omitempty"`
 	// WeightProfile, when set, feeds the stream through the weighted ingest
 	// face with deterministic non-unit integer weights ("cycle": weights
@@ -87,7 +88,11 @@ type Scenario struct {
 	// with EstimatorSketch, EstimatorConcurrent or EstimatorServe.
 	WeightProfile string `json:"weights,omitempty"`
 	// Sampled switches EstimatorSketch to the Section 5 sampling
-	// front-end; Delta is then the permitted failure probability.
+	// front-end; Delta is then the permitted failure probability. Only the
+	// MRL backend on EstimatorSketch, outside the metamorphic modes, has
+	// one; elsewhere, or with explicit B or K, Sampled is refused. Without
+	// Sampled, Delta is the confidence of the kll backend's bound, which
+	// only the direct EstimatorSketch run takes.
 	Sampled bool    `json:"sampled,omitempty"`
 	Delta   float64 `json:"delta,omitempty"`
 	// Epsilon is the rank-error tolerance the run is provisioned for.
@@ -104,11 +109,14 @@ type Scenario struct {
 	// count; 0 means 4.
 	Parts int `json:"parts,omitempty"`
 	// B and K, when positive, bypass the optimizer and size the sketch
-	// explicitly. The a-priori epsilon claim is then void (the geometry no
+	// explicitly; an MRL sketch needs both (B >= 2, K >= 1) and refuses
+	// one alone. The a-priori epsilon claim is then void (the geometry no
 	// longer derives from Epsilon), so only the runtime-bound property is
 	// checked; the shrinker uses this to minimise b*k in bound failures.
 	// For the kll backend K alone is the sketch's accuracy parameter (B is
-	// unused); the shrinker pins it from Epsilon and then halves it.
+	// refused); the shrinker pins it from Epsilon and then halves it. The
+	// weighted backend and the serve and cluster stacks size their own
+	// geometry and refuse both.
 	B int `json:"b,omitempty"`
 	K int `json:"k,omitempty"`
 	// Nodes (EstimatorCluster) is the storage-node count of the
@@ -135,16 +143,18 @@ func (sc Scenario) Name() string {
 	}
 	extra := ""
 	if sc.Backend != "" {
-		extra = "/backend=" + sc.Backend
+		extra += "/backend=" + sc.Backend
 	}
 	if sc.WeightProfile != "" {
 		extra += "/weights=" + sc.WeightProfile
 	}
 	if sc.Sampled {
-		extra = fmt.Sprintf("/sampled(delta=%g)", sc.Delta)
+		extra += fmt.Sprintf("/sampled(delta=%g)", sc.Delta)
 	}
 	if sc.B > 0 {
 		extra += fmt.Sprintf("/b=%d,k=%d", sc.B, sc.K)
+	} else if sc.K > 0 {
+		extra += fmt.Sprintf("/k=%d", sc.K)
 	}
 	if sc.Nodes > 0 {
 		extra += fmt.Sprintf("/nodes=%d", sc.Nodes)
@@ -162,6 +172,13 @@ func (sc Scenario) shardsOrDefault() int {
 		return sc.Shards
 	}
 	return 4
+}
+
+// sizesOwnGeometry reports whether the scenario's stack chooses its own
+// geometry, for the new policy only: the sampling front-end from its
+// sampling plan, serve and cluster nodes from their registry's (epsilon, N).
+func (sc Scenario) sizesOwnGeometry() bool {
+	return sc.Sampled || sc.Estimator == EstimatorServe || sc.Estimator == EstimatorCluster
 }
 
 // nodesOrDefault returns the effective cluster node count.
@@ -415,10 +432,14 @@ func (c *Certifier) Check(sc Scenario) (Outcome, error) {
 		return c.checkEstimate(sc)
 	}
 	// The metamorphic modes certify MRL-specific machinery (Lemma 5
-	// accounting, snapshot combine); a scenario naming another backend is
-	// malformed, not silently run against the wrong implementation.
+	// accounting, snapshot combine) on deterministic sketches; a scenario
+	// naming another backend or sampling is malformed, not silently run
+	// against the wrong implementation.
 	if sc.WeightProfile != "" {
 		return Outcome{}, fmt.Errorf("cert: mode %q does not support weighted ingest", mode)
+	}
+	if sc.Sampled {
+		return Outcome{}, fmt.Errorf("cert: mode %q certifies the deterministic sketch; sampling unsupported", mode)
 	}
 	if b, err := quantile.ParseBackend(sc.Backend); err != nil {
 		return Outcome{}, err
@@ -451,7 +472,13 @@ func (c *Certifier) checkEstimate(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	rr, err := runEstimator(sc, data, sc.Phis)
+	var ws []float64
+	if sc.WeightProfile != "" {
+		if ws, err = sc.buildWeights(len(data)); err != nil {
+			return Outcome{}, err
+		}
+	}
+	rr, err := runEstimator(sc, data, ws, sc.Phis)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -465,11 +492,7 @@ func (c *Certifier) checkEstimate(sc Scenario) (Outcome, error) {
 	// ranks of the expansion. The count check below still uses the
 	// unexpanded dataset — estimators count elements, not weight.
 	oracle := data
-	if sc.WeightProfile != "" {
-		ws, werr := sc.buildWeights(len(data))
-		if werr != nil {
-			return Outcome{}, werr
-		}
+	if ws != nil {
 		oracle = expandWeighted(data, ws)
 	}
 

@@ -93,10 +93,9 @@ func shrinkCandidates(sc Scenario) []Scenario {
 	// KLL geometry: pin the accuracy parameter the Epsilon derivation would
 	// choose (so the reproducer no longer depends on the derivation), then
 	// halve k toward the sketch's floor. Mirrors the MRL b*k branch below;
-	// serve and cluster scenarios are excluded the same way (their
-	// registries size their own geometry, so a pinned K would be a no-op in
-	// the reproducer).
-	if sc.Backend == "kll" && sc.Estimator != EstimatorServe && sc.Estimator != EstimatorCluster {
+	// stacks that size their own geometry are excluded the same way (they
+	// refuse a pinned K).
+	if sc.Backend == "kll" && !sc.sizesOwnGeometry() {
 		if sc.K == 0 {
 			if est, err := quantile.NewKLL(quantile.Config{Epsilon: sc.Epsilon}); err == nil {
 				cand := sc
@@ -119,7 +118,7 @@ func shrinkCandidates(sc Scenario) []Scenario {
 	// at all), then shrink K and B. Pinning voids the a-priori epsilon
 	// claim, so this branch only survives when the failure is in the
 	// runtime bound — exactly when a geometry-level reproducer is useful.
-	if sc.B == 0 && !sc.Sampled && sc.Estimator != EstimatorServe && sc.Estimator != EstimatorCluster {
+	if sc.B == 0 && !sc.sizesOwnGeometry() {
 		if pol, err := sc.corePolicy(); err == nil {
 			if plan, err := params.Optimize(pol, sc.Epsilon, sc.N); err == nil {
 				cand := sc
